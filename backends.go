@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/ising-machines/saim/internal/anneal"
 	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/core"
 	"github.com/ising-machines/saim/internal/exact"
@@ -83,22 +82,21 @@ func heuristicPenalty(m *Model, alpha float64) float64 {
 	return core.HeuristicPenalty(m.inner, alpha)
 }
 
-// initialBits validates a WithInitial assignment against the model (length
-// and 0/1 entries), returning nil when no warm start was requested.
 // checkpointAdapter bridges an internal best-so-far stream to the public
 // WithCheckpoint callback. The internal engines pass live bit buffers;
 // fromBits copies into a fresh []int, making the public slice safe to
-// retain. scale rescales costs out of a normalized energy frame (1 for
-// backends that anneal raw energies).
-func checkpointAdapter(f func(assignment []int, cost float64), scale float64) func(ising.Bits, float64) {
+// retain.
+func checkpointAdapter(f func(assignment []int, cost float64)) func(ising.Bits, float64) {
 	if f == nil {
 		return nil
 	}
 	return func(best ising.Bits, cost float64) {
-		f(fromBits(best), cost*scale)
+		f(fromBits(best), cost)
 	}
 }
 
+// initialBits validates a WithInitial assignment against the model (length
+// and 0/1 entries), returning nil when no warm start was requested.
 func initialBits(m *Model, cfg config) (ising.Bits, error) {
 	if cfg.initial == nil {
 		return nil, nil
@@ -106,12 +104,53 @@ func initialBits(m *Model, cfg config) (ising.Bits, error) {
 	return toBits(cfg.initial, m.n)
 }
 
+// coreOptions lowers the configuration onto the core engine's options for
+// the saim and penalty backends; name labels the progress stream.
+func coreOptions(name string, m *Model, cfg config) (core.Options, error) {
+	init, err := initialBits(m, cfg)
+	if err != nil {
+		return core.Options{}, err
+	}
+	return core.Options{
+		Alpha:        cfg.alpha,
+		P:            cfg.penalty,
+		Eta:          cfg.eta,
+		Iterations:   cfg.iterations,
+		SweepsPerRun: cfg.sweepsPerRun,
+		BetaMax:      cfg.betaMax,
+		Seed:         cfg.seed,
+		Machine:      cfg.machine,
+		Packed:       cfg.packed,
+		Progress:     progressAdapter(name, cfg.progress),
+		TargetCost:   cfg.targetCost,
+		Patience:     cfg.patience,
+		Initial:      init,
+		Checkpoint:   checkpointAdapter(cfg.checkpoint),
+	}, nil
+}
+
+// coreResult converts a core engine result into the public form.
+func coreResult(name string, res *core.Result) *Result {
+	return &Result{
+		Solver:        name,
+		Assignment:    fromBits(res.Best),
+		Cost:          res.BestCost,
+		FeasibleRatio: res.FeasibleRatio(),
+		Penalty:       res.P,
+		Sweeps:        res.TotalSweeps,
+		Iterations:    res.Iterations,
+		Lambda:        append([]float64(nil), res.Lambda...),
+		Stopped:       res.Stopped,
+	}
+}
+
 // ---------------------------------------------------------------- saim ---
 
 // saimSolver is the paper's self-adaptive Ising machine (Algorithm 1). It
-// accepts every model form: the quadratic machine for constrained models,
-// plain multi-run annealing for unconstrained QUBOs, and the higher-order
-// machine for polynomial models.
+// accepts every model form: the quadratic machine for constrained models
+// and for unconstrained QUBOs (Algorithm 1 over an empty constraint
+// system is plain multi-run annealing), and the higher-order machine for
+// polynomial models.
 type saimSolver struct{}
 
 func (*saimSolver) Name() string        { return "saim" }
@@ -122,26 +161,16 @@ func (s *saimSolver) Solve(ctx context.Context, m *Model, opts ...Option) (*Resu
 		return nil, err
 	}
 	cfg := buildConfig(opts)
+	if m.form == FormHighOrder && cfg.replicas > 1 {
+		return nil, fmt.Errorf("saim: WithReplicas is not supported for %v models", m.form)
+	}
 	ctx, cancel, stamp := deadline(ctx, cfg)
 	defer cancel()
-	var (
-		res *Result
-		err error
-	)
-	switch m.form {
-	case FormConstrained:
-		res, err = s.solveConstrained(ctx, m, cfg)
-	case FormUnconstrained:
-		if cfg.replicas > 1 {
-			return nil, fmt.Errorf("saim: WithReplicas is only supported for constrained models (model form %v)", m.form)
-		}
-		res, err = s.solveUnconstrained(ctx, m, cfg)
-	default:
-		if cfg.replicas > 1 {
-			return nil, fmt.Errorf("saim: WithReplicas is only supported for constrained models (model form %v)", m.form)
-		}
-		res, err = s.solveHighOrder(ctx, m, cfg)
+	solve := s.solveQuadratic
+	if m.form == FormHighOrder {
+		solve = s.solveHighOrder
 	}
+	res, err := solve(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -149,26 +178,13 @@ func (s *saimSolver) Solve(ctx context.Context, m *Model, opts ...Option) (*Resu
 	return res, nil
 }
 
-func (s *saimSolver) solveConstrained(ctx context.Context, m *Model, cfg config) (*Result, error) {
-	init, err := initialBits(m, cfg)
+func (s *saimSolver) solveQuadratic(ctx context.Context, m *Model, cfg config) (*Result, error) {
+	o, err := coreOptions("saim", m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	o := core.Options{
-		Alpha:        cfg.alpha,
-		P:            cfg.penalty,
-		Eta:          cfg.eta,
-		Iterations:   cfg.iterations,
-		SweepsPerRun: cfg.sweepsPerRun,
-		BetaMax:      cfg.betaMax,
-		Seed:         cfg.seed,
-		Machine:      cfg.machine,
-		Packed:       cfg.packed,
-		Progress:     progressAdapter("saim", cfg.progress),
-		TargetCost:   cfg.targetCost,
-		Patience:     cfg.patience,
-		Initial:      init,
-		Checkpoint:   checkpointAdapter(cfg.checkpoint, 1),
+	if m.form == FormUnconstrained {
+		o.Iterations = orDefault(cfg.iterations, 100)
 	}
 	var res *core.Result
 	if cfg.replicas > 1 {
@@ -179,72 +195,7 @@ func (s *saimSolver) solveConstrained(ctx context.Context, m *Model, cfg config)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Solver:        "saim",
-		Assignment:    fromBits(res.Best),
-		Cost:          res.BestCost,
-		FeasibleRatio: res.FeasibleRatio(),
-		Penalty:       res.P,
-		Sweeps:        res.TotalSweeps,
-		Iterations:    res.Iterations,
-		Lambda:        append([]float64(nil), res.Lambda...),
-		Stopped:       res.Stopped,
-	}, nil
-}
-
-func (s *saimSolver) solveUnconstrained(ctx context.Context, m *Model, cfg config) (*Result, error) {
-	init, err := initialBits(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	normalized := m.rawObj.Clone()
-	inv := normalized.Normalize() // argmin-preserving rescale so βmax=10 suits any data
-	// The annealer observes normalized energies; rescale the target into
-	// that frame and progress costs back out of it.
-	var target *float64
-	if cfg.targetCost != nil {
-		t := *cfg.targetCost * inv
-		target = &t
-	}
-	prog := progressAdapter("saim", cfg.progress)
-	costScale := 1.0
-	if inv > 0 {
-		costScale = 1 / inv
-	}
-	if prog != nil && inv > 0 {
-		inner, scale := prog, costScale
-		prog = func(p core.ProgressInfo) {
-			if !math.IsInf(p.BestCost, 0) {
-				p.BestCost *= scale
-			}
-			inner(p)
-		}
-	}
-	res := anneal.MinimizeQUBOContext(ctx, normalized, anneal.Options{
-		Runs:         orDefault(cfg.iterations, 100),
-		SweepsPerRun: orDefault(cfg.sweepsPerRun, 1000),
-		BetaMax:      orDefaultF(cfg.betaMax, 10),
-		Seed:         cfg.seed,
-		Machine:      cfg.machine,
-		Progress:     prog,
-		TargetCost:   target,
-		Patience:     cfg.patience,
-		Initial:      init,
-		Checkpoint:   checkpointAdapter(cfg.checkpoint, costScale),
-	})
-	out := &Result{
-		Solver:        "saim",
-		Cost:          math.Inf(1),
-		FeasibleRatio: 100,
-		Sweeps:        res.TotalSweeps,
-		Iterations:    res.Runs,
-		Stopped:       res.Stopped,
-	}
-	if res.Best != nil {
-		out.Assignment = fromBits(res.Best)
-		out.Cost = m.rawObj.Energy(res.Best)
-	}
-	return out, nil
+	return coreResult("saim", res), nil
 }
 
 func (s *saimSolver) solveHighOrder(ctx context.Context, m *Model, cfg config) (*Result, error) {
@@ -301,37 +252,20 @@ func (s *penaltySolver) Solve(ctx context.Context, m *Model, opts ...Option) (*R
 	if pw <= 0 {
 		return nil, fmt.Errorf("saim: penalty weight must be positive, got %v", pw)
 	}
-	init, err := initialBits(m, cfg)
+	o, err := coreOptions("penalty", m, cfg)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel, stamp := deadline(ctx, cfg)
 	defer cancel()
-	res, err := anneal.SolvePenaltyContext(ctx, m.inner, pw, anneal.Options{
-		Runs:         orDefault(cfg.iterations, 2000),
-		SweepsPerRun: orDefault(cfg.sweepsPerRun, 1000),
-		BetaMax:      orDefaultF(cfg.betaMax, 10),
-		Seed:         cfg.seed,
-		Machine:      cfg.machine,
-		Progress:     progressAdapter("penalty", cfg.progress),
-		TargetCost:   cfg.targetCost,
-		Patience:     cfg.patience,
-		Initial:      init,
-		Checkpoint:   checkpointAdapter(cfg.checkpoint, 1),
-	})
+	res, err := core.SolvePenaltyContext(ctx, m.inner, pw, o)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Solver:        "penalty",
-		Assignment:    fromBits(res.Best),
-		Cost:          res.BestCost,
-		FeasibleRatio: res.FeasibleRatio(),
-		Penalty:       res.P,
-		Sweeps:        res.TotalSweeps,
-		Iterations:    res.Runs,
-		Stopped:       stamp(res.Stopped),
-	}, nil
+	out := coreResult("penalty", res)
+	out.Lambda = nil // λ is frozen at zero: the method has no multipliers
+	out.Stopped = stamp(out.Stopped)
+	return out, nil
 }
 
 // ------------------------------------------------------------------ pt ---

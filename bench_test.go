@@ -8,6 +8,7 @@
 package saim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -169,7 +170,7 @@ func BenchmarkSAIMIteration(b *testing.B) {
 		// One-iteration solve per loop: measures the steady-state cost of
 		// an iteration without accumulating λ state across b.N.
 		b.StartTimer()
-		if _, err := core.Solve(prob, core.Options{
+		if _, err := core.SolveContext(context.Background(), prob, core.Options{
 			Iterations: 1, SweepsPerRun: 1000, Eta: 20, Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
@@ -185,7 +186,7 @@ func BenchmarkSlackEncodings(b *testing.B) {
 		b.Run(enc.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prob := inst.ToProblem(enc)
-				if _, err := core.Solve(prob, core.Options{
+				if _, err := core.SolveContext(context.Background(), prob, core.Options{
 					Iterations: 10, SweepsPerRun: 100, Eta: 20, Seed: 1,
 				}); err != nil {
 					b.Fatal(err)
@@ -233,7 +234,7 @@ func BenchmarkSolveAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve(prob, core.Options{
+		if _, err := core.SolveContext(context.Background(), prob, core.Options{
 			Iterations: 50, SweepsPerRun: 10, Eta: 20, Seed: 1,
 		}); err != nil {
 			b.Fatal(err)
@@ -249,7 +250,7 @@ func BenchmarkSolveParallelPool(b *testing.B) {
 	prob := inst.ToProblem(constraint.Binary)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveParallel(prob, core.Options{
+		if _, err := core.SolveParallelContext(context.Background(), prob, core.Options{
 			Iterations: 5, SweepsPerRun: 100, Eta: 20, Seed: uint64(i),
 		}, 8); err != nil {
 			b.Fatal(err)

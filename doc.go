@@ -57,10 +57,6 @@
 // fan-out — and cmd/saimserve exposes it over HTTP/JSON with SSE progress
 // streaming.
 //
-// The pre-registry entry points (Solve, SolvePenaltyMethod, Minimize,
-// SolveHighOrder, SolveParallel) remain as thin deprecated wrappers over
-// the unified API.
-//
 // # The declarative layer
 //
 // Package model is the recommended front door for application code: named,

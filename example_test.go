@@ -28,6 +28,28 @@ func ExampleSolveModel() {
 	// Output: [1 1 0] -11
 }
 
+// Builder.Model validates the objective and constraints once and returns an
+// immutable Model; any registered backend can then solve it, here SAIM with
+// explicit annealing options.
+func ExampleBuilder_Model() {
+	b := saim.NewBuilder(3)
+	b.Linear(0, -6).Linear(1, -5).Linear(2, -8)
+	b.ConstrainLE([]float64{2, 3, 4}, 5)
+	model, err := b.Model()
+	if err != nil {
+		panic(err)
+	}
+	res, err := saim.SolveModel(context.Background(), "saim", model,
+		saim.WithIterations(150), saim.WithSweepsPerRun(150),
+		saim.WithEta(1), saim.WithSeed(1),
+	)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Assignment, res.Cost)
+	// Output: [1 1 0] -11
+}
+
 // Every registered backend solves the same Model; the exact solver proves
 // optimality on integer knapsack data.
 func ExampleSolver() {
@@ -128,24 +150,4 @@ func ExampleBuilder_ConstrainPolyEQ() {
 	}
 	fmt.Println(model.Form(), res.Assignment[0], res.Assignment[1], res.Cost)
 	// Output: high-order 1 1 -1
-}
-
-// The deprecated pre-registry wrappers still compile and run on top of the
-// unified API.
-func ExampleSolve() {
-	b := saim.NewBuilder(3)
-	b.Linear(0, -6).Linear(1, -5).Linear(2, -8)
-	b.ConstrainLE([]float64{2, 3, 4}, 5)
-	problem, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	res, err := saim.Solve(problem, saim.Options{
-		Iterations: 150, SweepsPerRun: 150, Eta: 1, Seed: 1,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Assignment, res.Cost)
-	// Output: [1 1 0] -11
 }

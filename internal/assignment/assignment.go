@@ -11,6 +11,7 @@
 package assignment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -242,7 +243,7 @@ func Solve(c Cost, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Solve(p, core.Options{
+	res, err := core.SolveContext(context.Background(), p, core.Options{
 		Iterations:   defInt(o.Iterations, 400),
 		SweepsPerRun: defInt(o.SweepsPerRun, 300),
 		Eta:          defF(o.Eta, 1),

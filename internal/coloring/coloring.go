@@ -11,6 +11,7 @@
 package coloring
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -205,7 +206,7 @@ type Result struct {
 // Solve runs SAIM on the k-coloring of g.
 func Solve(g *Graph, k int, o Options) (*Result, error) {
 	p := ToProblem(g, k)
-	res, err := core.Solve(p, core.Options{
+	res, err := core.SolveContext(context.Background(), p, core.Options{
 		Iterations:   defInt(o.Iterations, 300),
 		SweepsPerRun: defInt(o.SweepsPerRun, 300),
 		Eta:          defF(o.Eta, 1),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/ising"
@@ -16,7 +17,7 @@ func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 		[]float64{6, 5, 8, 9, 6, 7, 3}, []float64{2, 3, 6, 7, 5, 9, 4}, 15)
 	measure := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Solve(p, Options{
+			if _, err := SolveContext(context.Background(), p, Options{
 				Iterations: iters, SweepsPerRun: 25, Eta: 0.5, Seed: 7,
 			}); err != nil {
 				t.Fatal(err)
@@ -38,7 +39,7 @@ func TestSolveSteadyStateZeroAllocsSparse(t *testing.T) {
 		[]float64{6, 5, 8, 9, 6, 7, 3}, []float64{2, 3, 6, 7, 5, 9, 4}, 15)
 	measure := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Solve(p, Options{
+			if _, err := SolveContext(context.Background(), p, Options{
 				Iterations: iters, SweepsPerRun: 25, Eta: 0.5, Seed: 7,
 				Machine: MachineSparse,
 			}); err != nil {
@@ -81,7 +82,7 @@ func TestMachineKindResolve(t *testing.T) {
 func TestSolveMachineKindsAgree(t *testing.T) {
 	p, _ := knapsackProblem([]float64{6, 5, 8, 9}, []float64{2, 3, 6, 7}, 10)
 	run := func(k MachineKind) *Result {
-		res, err := Solve(p, Options{
+		res, err := SolveContext(context.Background(), p, Options{
 			Iterations: 40, SweepsPerRun: 60, Eta: 0.5, Seed: 13, Machine: k,
 		})
 		if err != nil {

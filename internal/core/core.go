@@ -54,9 +54,7 @@ type Machine interface {
 
 // BufferedAnnealer is the optional fast path of Machine: a run that writes
 // its final state into a caller-owned buffer. Both pbit machines implement
-// it; custom machines fall back to the allocating Anneal. It is the single
-// definition of this contract — internal/anneal type-asserts against it
-// too, so a signature change breaks loudly at every call site.
+// it; custom machines fall back to the allocating Anneal.
 type BufferedAnnealer interface {
 	AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
 }
@@ -258,10 +256,10 @@ type Options struct {
 	// Machine selects the p-bit kernel (auto/dense/CSR). Ignored when
 	// Factory is set.
 	Machine MachineKind
-	// Packed controls whether SolveParallel may sweep replicas 64-at-a-time
-	// through the bit-packed kernels. The zero value (PackedAuto) packs
-	// whenever eligible; packing never changes results. Single solves
-	// (replicas == 1) ignore it.
+	// Packed controls whether SolveParallelContext may sweep replicas
+	// 64-at-a-time through the bit-packed kernels. The zero value
+	// (PackedAuto) packs whenever eligible; packing never changes results.
+	// Single solves (replicas == 1) ignore it.
 	Packed PackedMode
 	// Factory builds the Ising machine; nil means the kernel selected by
 	// Machine.
@@ -434,9 +432,9 @@ func (r *Result) FeasibleRatio() float64 {
 // HeuristicPenalty returns the paper's P = α·d·N penalty weight for the
 // problem, measuring the coupling density of the built energy (objective +
 // penalty quadratic structure at a nominal P) when the problem does not
-// carry an instance density. Solve uses it whenever Options.P is unset;
-// the penalty-method and parallel-tempering baselines share it so every
-// backend prices constraints from the same heuristic.
+// carry an instance density. SolveContext uses it whenever Options.P is
+// unset; the penalty-method and parallel-tempering baselines share it so
+// every backend prices constraints from the same heuristic.
 func HeuristicPenalty(p *Problem, alpha float64) float64 {
 	d := p.Density
 	if d == 0 {
@@ -458,6 +456,9 @@ type program struct {
 	model  *ising.Model
 	baseH  vecmat.Vec
 	sched  schedule.Schedule
+	// frozen holds λ at zero: the classical penalty method
+	// (SolvePenaltyContext) is Algorithm 1 without the multiplier step.
+	frozen bool
 }
 
 // compile validates the problem and builds the energy model once.
@@ -471,7 +472,12 @@ func compile(p *Problem, opts Options) (*program, error) {
 		return nil, fmt.Errorf("core: initial assignment length %d, want %d", len(o.Initial), p.Ext.NOrig)
 	}
 	pen := o.P
-	if pen == 0 {
+	switch {
+	case p.Ext.M() == 0:
+		// An unconstrained problem has nothing to price: E = f, and the
+		// O(N²) density probe of the heuristic is never built.
+		pen = 0
+	case pen == 0:
 		pen = HeuristicPenalty(p, o.Alpha)
 	}
 	if pen < 0 {
@@ -636,8 +642,10 @@ func (e *engine) solve(ctx context.Context, seed uint64, trace *Trace, progress 
 			trace.record(cost, feasible, e.lam.Values, lk)
 		}
 
-		// λ ← λ + η_k g(x_k).
-		e.lam.UpdateScheduled(e.g, e.step)
+		// λ ← λ + η_k g(x_k), unless the penalty method froze λ at 0.
+		if !pr.frozen {
+			e.lam.UpdateScheduled(e.g, e.step)
+		}
 
 		if progress != nil {
 			progress(ProgressInfo{
@@ -688,11 +696,6 @@ func (e *engine) annealFromInitial(o Options) bool {
 	return true
 }
 
-// Solve runs Algorithm 1 on the problem.
-func Solve(p *Problem, opts Options) (*Result, error) {
-	return SolveContext(context.Background(), p, opts)
-}
-
 // SolveContext runs Algorithm 1 on the problem under a context. The context
 // is checked once per annealing run (not per sweep, keeping the hot path
 // unchanged); on cancellation the best-so-far result is returned with a nil
@@ -702,5 +705,24 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	return pr.newEngine().solve(ctx, pr.o.Seed, pr.o.Trace, pr.o.Progress)
+}
+
+// SolvePenaltyContext runs the classical penalty method, the paper's
+// baseline: Algorithm 1 with the λ step removed. Every annealing run
+// samples the fixed energy E = f + pw‖g‖², and the best feasible final
+// sample wins. pw replaces Options.P and Options.Alpha; Eta and the λ
+// options have no effect. Cancellation behaves as in SolveContext, and
+// Options.Trace records each run's cost and feasibility.
+func SolvePenaltyContext(ctx context.Context, p *Problem, pw float64, opts Options) (*Result, error) {
+	if pw <= 0 {
+		return nil, fmt.Errorf("core: penalty weight must be positive, got %v", pw)
+	}
+	opts.P = pw
+	pr, err := compile(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	pr.frozen = true
 	return pr.newEngine().solve(ctx, pr.o.Seed, pr.o.Trace, pr.o.Progress)
 }

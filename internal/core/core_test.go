@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -52,7 +53,7 @@ func knapsackProblem(v, w []float64, capacity float64) (*Problem, float64) {
 func TestSolveFindsKnapsackOptimum(t *testing.T) {
 	p, opt := knapsackProblem(
 		[]float64{6, 5, 8, 9, 6, 7, 3}, []float64{2, 3, 6, 7, 5, 9, 4}, 15)
-	res, err := Solve(p, Options{
+	res, err := SolveContext(context.Background(), p, Options{
 		Iterations:   150,
 		SweepsPerRun: 200,
 		BetaMax:      10,
@@ -81,7 +82,7 @@ func TestSolveFindsKnapsackOptimum(t *testing.T) {
 func TestSolveDeterministicGivenSeed(t *testing.T) {
 	run := func() *Result {
 		p, _ := knapsackProblem([]float64{3, 4, 5}, []float64{2, 3, 4}, 5)
-		res, err := Solve(p, Options{Iterations: 30, SweepsPerRun: 50, Eta: 0.5, Seed: 11})
+		res, err := SolveContext(context.Background(), p, Options{Iterations: 30, SweepsPerRun: 50, Eta: 0.5, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestSolveTraceShapes(t *testing.T) {
 	p, _ := knapsackProblem([]float64{3, 4}, []float64{2, 3}, 4)
 	tr := &Trace{}
 	const k = 25
-	res, err := Solve(p, Options{Iterations: k, SweepsPerRun: 40, Eta: 0.3, Seed: 3, Trace: tr})
+	res, err := SolveContext(context.Background(), p, Options{Iterations: k, SweepsPerRun: 40, Eta: 0.3, Seed: 3, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestSolveTraceShapes(t *testing.T) {
 func TestSolveUsesHeuristicPenalty(t *testing.T) {
 	p, _ := knapsackProblem([]float64{3, 4, 5, 6}, []float64{2, 3, 4, 5}, 7)
 	p.Density = 0.5
-	res, err := Solve(p, Options{Iterations: 5, SweepsPerRun: 20, Eta: 0.5, Alpha: 2, Seed: 1})
+	res, err := SolveContext(context.Background(), p, Options{Iterations: 5, SweepsPerRun: 20, Eta: 0.5, Alpha: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestSolveUsesHeuristicPenalty(t *testing.T) {
 
 func TestSolveExplicitPenaltyOverrides(t *testing.T) {
 	p, _ := knapsackProblem([]float64{3, 4}, []float64{2, 3}, 4)
-	res, err := Solve(p, Options{P: 7.5, Iterations: 3, SweepsPerRun: 10, Eta: 1, Seed: 1})
+	res, err := SolveContext(context.Background(), p, Options{P: 7.5, Iterations: 3, SweepsPerRun: 10, Eta: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestSolveExplicitPenaltyOverrides(t *testing.T) {
 }
 
 func TestSolveRejectsInvalidProblem(t *testing.T) {
-	if _, err := Solve(&Problem{}, Options{}); err == nil {
+	if _, err := SolveContext(context.Background(), &Problem{}, Options{}); err == nil {
 		t.Fatal("Solve accepted empty problem")
 	}
 	// Dimension mismatch.
@@ -161,7 +162,7 @@ func TestSolveRejectsInvalidProblem(t *testing.T) {
 		Ext:       ext,
 		Cost:      func(ising.Bits) float64 { return 0 },
 	}
-	if _, err := Solve(p, Options{}); err == nil {
+	if _, err := SolveContext(context.Background(), p, Options{}); err == nil {
 		t.Fatal("Solve accepted mismatched dimensions")
 	}
 }
@@ -221,7 +222,7 @@ func TestExactMinimizerClosesGap(t *testing.T) {
 		return &exactMachine{model: model}
 	}
 	// P small: with λ=0 the argmin is to take everything (infeasible).
-	res, err := Solve(p, Options{
+	res, err := SolveContext(context.Background(), p, Options{
 		P:          0.2,
 		Iterations: 300,
 		Eta:        0.2,
@@ -253,7 +254,7 @@ func TestSmallPGroundStateInfeasibleWithoutLambda(t *testing.T) {
 	factory := func(model *ising.Model, _ *rng.Source) Machine {
 		return &exactMachine{model: model}
 	}
-	res, err := Solve(p, Options{
+	res, err := SolveContext(context.Background(), p, Options{
 		P: 0.2, Iterations: 1, Eta: 0.2, Seed: 5, Factory: factory, SweepsPerRun: 1,
 	})
 	if err != nil {
@@ -268,7 +269,7 @@ func TestSmallPGroundStateInfeasibleWithoutLambda(t *testing.T) {
 
 func TestTotalSweepsAccounting(t *testing.T) {
 	p, _ := knapsackProblem([]float64{3, 4}, []float64{2, 3}, 4)
-	res, err := Solve(p, Options{Iterations: 7, SweepsPerRun: 13, Eta: 0.5, Seed: 2})
+	res, err := SolveContext(context.Background(), p, Options{Iterations: 7, SweepsPerRun: 13, Eta: 0.5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +286,11 @@ func TestSolveWithSparseFactory(t *testing.T) {
 	sparseFactory := func(model *ising.Model, src *rng.Source) Machine {
 		return pbit.NewSparse(model, src)
 	}
-	dense, err := Solve(p, Options{Iterations: 80, SweepsPerRun: 120, Eta: 0.5, Seed: 13})
+	dense, err := SolveContext(context.Background(), p, Options{Iterations: 80, SweepsPerRun: 120, Eta: 0.5, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := Solve(p, Options{Iterations: 80, SweepsPerRun: 120, Eta: 0.5, Seed: 13,
+	sparse, err := SolveContext(context.Background(), p, Options{Iterations: 80, SweepsPerRun: 120, Eta: 0.5, Seed: 13,
 		Factory: sparseFactory})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +312,7 @@ func TestEtaDecayConverges(t *testing.T) {
 	factory := func(model *ising.Model, _ *rng.Source) Machine {
 		return &exactMachine{model: model}
 	}
-	res, err := Solve(p, Options{
+	res, err := SolveContext(context.Background(), p, Options{
 		P: 0.2, Iterations: 300, Eta: 0.4, EtaDecayPower: 0.5,
 		Seed: 5, Factory: factory, SweepsPerRun: 1,
 	})

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/pbit"
 	"github.com/ising-machines/saim/internal/rng"
@@ -55,58 +56,83 @@ func equalResults(t *testing.T, r int, got, want *Result) {
 	}
 }
 
+// unconstrainedProblem is a small QUBO over an empty (M = 0) constraint
+// system: the form unconstrained models compile to.
+func unconstrainedProblem() *Problem {
+	q := ising.NewQUBO(6)
+	for i := 0; i < 6; i++ {
+		q.AddLinear(i, float64(i%3)-1)
+		q.AddQuad(i, (i+1)%6, 1.5)
+		q.AddQuad(i, (i+3)%6, -0.5)
+	}
+	raw := q.Clone()
+	q.Normalize()
+	return &Problem{
+		Objective: q,
+		Ext:       constraint.NewSystem(6).Extend(constraint.Binary),
+		Cost:      raw.Energy,
+	}
+}
+
 // The engine-level pin of the tentpole: every lane of the packed engine
 // must reproduce, bit-for-bit, the Result the scalar engine produces for
 // the same replica seed — including lanes frozen early by patience while
-// their siblings keep sweeping.
+// their siblings keep sweeping, and problems without constraints.
 func TestSolveParallelPackedMatchesScalarReplicas(t *testing.T) {
-	p, _ := knapsackProblem([]float64{6, 5, 8, 9, 6}, []float64{2, 3, 6, 7, 5}, 12)
+	knap, _ := knapsackProblem([]float64{6, 5, 8, 9, 6}, []float64{2, 3, 6, 7, 5}, 12)
 	for _, kind := range []MachineKind{MachineDense, MachineSparse} {
 		t.Run(kind.String(), func(t *testing.T) {
-			o := Options{
-				Iterations: 12, SweepsPerRun: 40, Eta: 0.5, Seed: 91,
-				Patience: 4, Machine: kind,
-			}
-			pr, err := compile(p, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seeds := make([]uint64, pbit.Lanes)
-			for r := range seeds {
-				seeds[r] = replicaSeed(o.Seed, r)
-			}
-			pe := pr.newPackedEngine()
-			traces := make([]*Trace, pbit.Lanes)
-			for r := range traces {
-				traces[r] = &Trace{}
-			}
-			got := pe.solve(context.Background(), seeds, traces, nil, nil)
-
-			eng := pr.newEngine()
-			sawEarlyStop := false
-			for r, res := range got {
-				tr := &Trace{}
-				want, err := eng.solve(context.Background(), seeds[r], tr, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalResults(t, r, res, want)
-				if want.Stopped == StopPatience {
-					sawEarlyStop = true
-				}
-				if len(traces[r].Cost) != len(tr.Cost) {
-					t.Fatalf("replica %d: trace length %d, want %d", r, len(traces[r].Cost), len(tr.Cost))
-				}
-				for k := range tr.Cost {
-					if traces[r].Cost[k] != tr.Cost[k] || traces[r].Energy[k] != tr.Energy[k] {
-						t.Fatalf("replica %d: trace diverges at iteration %d", r, k)
-					}
-				}
-			}
-			if !sawEarlyStop {
-				t.Error("no replica stopped on patience; the done-lane freezing path went unexercised — lower Patience")
+			for _, p := range []*Problem{knap, unconstrainedProblem()} {
+				packedMatchesScalar(t, p, kind)
 			}
 		})
+	}
+}
+
+func packedMatchesScalar(t *testing.T, p *Problem, kind MachineKind) {
+	t.Helper()
+	o := Options{
+		Iterations: 12, SweepsPerRun: 40, Eta: 0.5, Seed: 91,
+		Patience: 4, Machine: kind,
+	}
+	pr, err := compile(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]uint64, pbit.Lanes)
+	for r := range seeds {
+		seeds[r] = replicaSeed(o.Seed, r)
+	}
+	pe := pr.newPackedEngine()
+	traces := make([]*Trace, pbit.Lanes)
+	for r := range traces {
+		traces[r] = &Trace{}
+	}
+	got := pe.solve(context.Background(), seeds, traces, nil, nil)
+
+	eng := pr.newEngine()
+	sawEarlyStop := false
+	for r, res := range got {
+		tr := &Trace{}
+		want, err := eng.solve(context.Background(), seeds[r], tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, r, res, want)
+		if want.Stopped == StopPatience {
+			sawEarlyStop = true
+		}
+		if len(traces[r].Cost) != len(tr.Cost) {
+			t.Fatalf("replica %d: trace length %d, want %d", r, len(traces[r].Cost), len(tr.Cost))
+		}
+		for k := range tr.Cost {
+			if traces[r].Cost[k] != tr.Cost[k] || traces[r].Energy[k] != tr.Energy[k] {
+				t.Fatalf("replica %d: trace diverges at iteration %d", r, k)
+			}
+		}
+	}
+	if !sawEarlyStop {
+		t.Errorf("M=%d: no replica stopped on patience; the done-lane freezing path went unexercised — lower Patience", p.Ext.M())
 	}
 }
 
@@ -119,7 +145,7 @@ func TestSolveParallelPackedModeEquivalence(t *testing.T) {
 	run := func(mode PackedMode) *Result {
 		o := base
 		o.Packed = mode
-		res, err := SolveParallel(p, o, 70)
+		res, err := SolveParallelContext(context.Background(), p, o, 70)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +174,7 @@ func TestSolveParallelPackedWarmStartEquivalence(t *testing.T) {
 	run := func(mode PackedMode) *Result {
 		o := base
 		o.Packed = mode
-		res, err := SolveParallel(p, o, pbit.Lanes)
+		res, err := SolveParallelContext(context.Background(), p, o, pbit.Lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +203,7 @@ func TestSolveParallelPackedProgressAndTrace(t *testing.T) {
 	count := 0
 	var last ProgressInfo
 	tr := &Trace{}
-	_, err := SolveParallel(p, Options{
+	_, err := SolveParallelContext(context.Background(), p, Options{
 		Iterations: 5, SweepsPerRun: 10, Eta: 0.5, Seed: 4, Packed: PackedOn,
 		Trace: tr,
 		Progress: func(pi ProgressInfo) {
@@ -251,7 +277,7 @@ func TestSolveParallelStopsFeedingOnError(t *testing.T) {
 			return &badMachine{n: model.N(), calls: &calls}
 		},
 	}
-	_, err := SolveParallel(p, opts, 8)
+	_, err := SolveParallelContext(context.Background(), p, opts, 8)
 	if err == nil {
 		t.Fatal("wrong-length Anneal return did not error")
 	}
@@ -273,7 +299,7 @@ func TestSolveParallelErrorStopIsExactSequentially(t *testing.T) {
 	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	if _, err := SolveParallel(p, opts, 6); err == nil {
+	if _, err := SolveParallelContext(context.Background(), p, opts, 6); err == nil {
 		t.Fatal("wrong-length Anneal return did not error")
 	}
 	if got := atomic.LoadInt32(&calls); got != 1 {
@@ -309,7 +335,10 @@ func TestProgressAggregatorPanickingCallback(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("aggregator left locked after a callback panic")
 	}
-	if math.IsInf(agg.agg.BestCost, -1) {
+	agg.mu.Lock()
+	corrupted := math.IsInf(agg.agg.BestCost, -1)
+	agg.mu.Unlock()
+	if corrupted {
 		t.Fatal("aggregator state corrupted")
 	}
 }

@@ -89,8 +89,9 @@ func (a *ProgressAggregator) Callback(r int) func(ProgressInfo) {
 	}
 }
 
-// SolveParallel runs `replicas` independent SAIM solves concurrently on a
-// fixed worker pool with decorrelated seeds, and merges their results.
+// SolveParallelContext runs `replicas` independent SAIM solves
+// concurrently on a fixed worker pool with decorrelated seeds, and merges
+// their results.
 // Independent restarts are the natural parallelization of Algorithm 1 —
 // the λ recursion inside one solve is sequential, but replicas explore
 // different multiplier trajectories, which both exploits hardware
@@ -98,12 +99,7 @@ func (a *ProgressAggregator) Callback(r int) func(ProgressInfo) {
 //
 // The merged result reports the best feasible solution across replicas,
 // aggregate feasibility statistics, the total sweep budget, and the λ
-// vector of the replica that produced the winner.
-func SolveParallel(p *Problem, opts Options, replicas int) (*Result, error) {
-	return SolveParallelContext(context.Background(), p, opts, replicas)
-}
-
-// SolveParallelContext is SolveParallel under a context: cancellation stops
+// vector of the replica that produced the winner. Cancellation stops
 // every replica at its next annealing-run boundary and the merged
 // best-so-far result is returned with Stopped == StopCancelled.
 //
@@ -116,7 +112,7 @@ func SolveParallel(p *Problem, opts Options, replicas int) (*Result, error) {
 // trajectory is copied into Options.Trace when one is supplied.
 func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replicas int) (*Result, error) {
 	if replicas <= 0 {
-		return nil, fmt.Errorf("core: SolveParallel requires replicas > 0, got %d", replicas)
+		return nil, fmt.Errorf("core: SolveParallelContext requires replicas > 0, got %d", replicas)
 	}
 	pr, err := compile(p, opts)
 	if err != nil {

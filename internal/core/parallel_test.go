@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestSolveParallelMatchesSingleSemantics(t *testing.T) {
 	p, opt := knapsackProblem([]float64{6, 5, 8, 9}, []float64{2, 3, 6, 7}, 10)
-	res, err := SolveParallel(p, Options{
+	res, err := SolveParallelContext(context.Background(), p, Options{
 		Iterations: 60, SweepsPerRun: 100, Eta: 0.5, Seed: 3,
 	}, 4)
 	if err != nil {
@@ -34,7 +35,7 @@ func TestSolveParallelMatchesSingleSemantics(t *testing.T) {
 func TestSolveParallelDeterministic(t *testing.T) {
 	p, _ := knapsackProblem([]float64{3, 4, 5}, []float64{2, 3, 4}, 5)
 	run := func() *Result {
-		r, err := SolveParallel(p, Options{Iterations: 25, SweepsPerRun: 60, Eta: 0.5, Seed: 9}, 3)
+		r, err := SolveParallelContext(context.Background(), p, Options{Iterations: 25, SweepsPerRun: 60, Eta: 0.5, Seed: 9}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +50,11 @@ func TestSolveParallelDeterministic(t *testing.T) {
 func TestSolveParallelBeatsOrMatchesSingle(t *testing.T) {
 	p, _ := knapsackProblem(
 		[]float64{6, 5, 8, 9, 6, 7, 3}, []float64{2, 3, 6, 7, 5, 9, 4}, 15)
-	single, err := Solve(p, Options{Iterations: 40, SweepsPerRun: 100, Eta: 0.5, Seed: 7})
+	single, err := SolveContext(context.Background(), p, Options{Iterations: 40, SweepsPerRun: 100, Eta: 0.5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := SolveParallel(p, Options{Iterations: 40, SweepsPerRun: 100, Eta: 0.5, Seed: 7}, 4)
+	multi, err := SolveParallelContext(context.Background(), p, Options{Iterations: 40, SweepsPerRun: 100, Eta: 0.5, Seed: 7}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +68,10 @@ func TestSolveParallelBeatsOrMatchesSingle(t *testing.T) {
 
 func TestSolveParallelValidation(t *testing.T) {
 	p, _ := knapsackProblem([]float64{1}, []float64{1}, 1)
-	if _, err := SolveParallel(p, Options{}, 0); err == nil {
+	if _, err := SolveParallelContext(context.Background(), p, Options{}, 0); err == nil {
 		t.Fatal("accepted zero replicas")
 	}
-	if _, err := SolveParallel(&Problem{}, Options{}, 2); err == nil {
+	if _, err := SolveParallelContext(context.Background(), &Problem{}, Options{}, 2); err == nil {
 		t.Fatal("accepted invalid problem")
 	}
 }
@@ -78,7 +79,7 @@ func TestSolveParallelValidation(t *testing.T) {
 func TestSolveParallelKeepsFirstTrace(t *testing.T) {
 	p, _ := knapsackProblem([]float64{3, 4}, []float64{2, 3}, 4)
 	tr := &Trace{}
-	if _, err := SolveParallel(p, Options{
+	if _, err := SolveParallelContext(context.Background(), p, Options{
 		Iterations: 10, SweepsPerRun: 20, Eta: 0.5, Seed: 2, Trace: tr,
 	}, 3); err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestSolveParallelDualBestMerge(t *testing.T) {
 	p.Objective.AddConst(-1000)
 	o := Options{Iterations: 15, SweepsPerRun: 40, Eta: 0.5, Seed: 21}
 	const replicas = 3
-	merged, err := SolveParallel(p, o, replicas)
+	merged, err := SolveParallelContext(context.Background(), p, o, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestSolveParallelDualBestMerge(t *testing.T) {
 	for r := 0; r < replicas; r++ {
 		ro := o
 		ro.Seed = replicaSeed(o.Seed, r)
-		res, err := Solve(p, ro)
+		res, err := SolveContext(context.Background(), p, ro)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestSolveParallelProgressAggregates(t *testing.T) {
 	var mu sync.Mutex
 	count := 0
 	var last ProgressInfo
-	_, err := SolveParallel(p, Options{
+	_, err := SolveParallelContext(context.Background(), p, Options{
 		Iterations: 10, SweepsPerRun: 10, Eta: 0.5, Seed: 4,
 		Progress: func(pi ProgressInfo) {
 			mu.Lock()
@@ -164,7 +165,7 @@ func TestSolveParallelMatchesStandaloneReplicas(t *testing.T) {
 	p, _ := knapsackProblem([]float64{6, 5, 8, 9, 6}, []float64{2, 3, 6, 7, 5}, 12)
 	o := Options{Iterations: 20, SweepsPerRun: 50, Eta: 0.5, Seed: 31}
 	const replicas = 4
-	merged, err := SolveParallel(p, o, replicas)
+	merged, err := SolveParallelContext(context.Background(), p, o, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSolveParallelMatchesStandaloneReplicas(t *testing.T) {
 	for r := 0; r < replicas; r++ {
 		ro := o
 		ro.Seed = replicaSeed(o.Seed, r)
-		res, err := Solve(p, ro)
+		res, err := SolveContext(context.Background(), p, ro)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,13 +109,8 @@ type mkpSearch struct {
 	ctx       context.Context
 }
 
-// SolveMKP solves the MKP instance by depth-first branch and bound with
-// LP-relaxation upper bounds.
-func SolveMKP(inst *mkp.Instance, opt Options) (*Result, error) {
-	return SolveMKPContext(context.Background(), inst, opt)
-}
-
-// SolveMKPContext is SolveMKP under a context, checked every few dozen
+// SolveMKPContext solves the MKP instance by depth-first branch and bound with
+// LP-relaxation upper bounds. The context is checked every few dozen
 // branch-and-bound nodes. On cancellation the incumbent (best-so-far)
 // solution is returned with Optimal == false and a nil error.
 func SolveMKPContext(ctx context.Context, inst *mkp.Instance, opt Options) (*Result, error) {
@@ -345,17 +340,12 @@ type qkpSearch struct {
 	ctx       context.Context
 }
 
-// SolveQKP solves the QKP instance by depth-first branch and bound. The
+// SolveQKPContext solves the QKP instance by depth-first branch and bound. The
 // upper bound at each node linearizes pair values optimistically (every
 // pair value is credited to both endpoints) and applies a fractional
 // knapsack fill; this is valid but loose, so the solver is intended for
 // instances up to a few dozen items — enough to certify the reduced-scale
-// experiment suites.
-func SolveQKP(inst *qkp.Instance, opt Options) (*Result, error) {
-	return SolveQKPContext(context.Background(), inst, opt)
-}
-
-// SolveQKPContext is SolveQKP under a context, checked every few hundred
+// experiment suites. The context is checked every few hundred
 // branch-and-bound nodes. On cancellation the incumbent (best-so-far)
 // solution is returned with Optimal == false and a nil error.
 func SolveQKPContext(ctx context.Context, inst *qkp.Instance, opt Options) (*Result, error) {

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -45,7 +46,7 @@ func TestSolveQKPMatchesDPOnLinearInstances(t *testing.T) {
 			}
 		}
 		inst.Density = 0.25 // keep Validate happy about the nominal density
-		res, err := SolveQKP(inst, Options{})
+		res, err := SolveQKPContext(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestSolveQKPMatchesDPOnLinearInstances(t *testing.T) {
 func TestSolveQKPMatchesBruteForce(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		inst := qkp.Generate(14, 0.5, int(seed), seed*3+1)
-		bb, err := SolveQKP(inst, Options{})
+		bb, err := SolveQKPContext(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestSolveQKPMatchesBruteForce(t *testing.T) {
 func TestSolveMKPMatchesBruteForce(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		inst := mkp.Generate(14, 3, 0.5, int(seed), seed*7+5)
-		bb, err := SolveMKP(inst, Options{})
+		bb, err := SolveMKPContext(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestSolveMKPSingleConstraintMatchesDP(t *testing.T) {
 			sum += w
 		}
 		inst.B[0] = sum / 2
-		bb, err := SolveMKP(inst, Options{})
+		bb, err := SolveMKPContext(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestSolveMKPMediumInstance(t *testing.T) {
 		t.Skip("medium B&B in -short mode")
 	}
 	inst := mkp.Generate(40, 5, 0.5, 1, 42)
-	res, err := SolveMKP(inst, Options{TimeLimit: 30 * time.Second})
+	res, err := SolveMKPContext(context.Background(), inst, Options{TimeLimit: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestSolveMKPMediumInstance(t *testing.T) {
 
 func TestNodeLimitTruncates(t *testing.T) {
 	inst := mkp.Generate(30, 5, 0.5, 1, 7)
-	res, err := SolveMKP(inst, Options{NodeLimit: 3})
+	res, err := SolveMKPContext(context.Background(), inst, Options{NodeLimit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestBruteForceSizeGuard(t *testing.T) {
 
 func TestResultsReportCostAsNegativeValue(t *testing.T) {
 	inst := qkp.Generate(10, 0.5, 1, 3)
-	res, err := SolveQKP(inst, Options{})
+	res, err := SolveQKPContext(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

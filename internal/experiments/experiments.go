@@ -225,14 +225,17 @@ func accuracyOf(cost, opt float64) float64 {
 	return qkp.Accuracy(cost, opt)
 }
 
-// meanAccuracy averages accuracies of a feasible-cost list (NaN if empty).
-func meanAccuracy(costs []float64, opt float64) float64 {
-	if len(costs) == 0 {
-		return math.NaN()
+// meanAccuracy averages the accuracies of a trace's feasible samples (NaN
+// if there are none).
+func meanAccuracy(tr *core.Trace, opt float64) float64 {
+	var acc []float64
+	for k, c := range tr.Cost {
+		if tr.Feasible[k] {
+			acc = append(acc, qkp.Accuracy(c, opt))
+		}
 	}
-	acc := make([]float64, len(costs))
-	for i, c := range costs {
-		acc[i] = qkp.Accuracy(c, opt)
+	if len(acc) == 0 {
+		return math.NaN()
 	}
 	return stats.Mean(acc)
 }

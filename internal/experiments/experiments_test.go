@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/core"
+	"github.com/ising-machines/saim/internal/qkp"
 )
 
 func smokeCfg() Config { return Config{Preset: Smoke} }
@@ -86,10 +89,10 @@ func TestAccuracyHelpers(t *testing.T) {
 	if accuracyOf(-50, -100) != 50 {
 		t.Fatal("accuracyOf wrong")
 	}
-	if !math.IsNaN(meanAccuracy(nil, -100)) {
+	if !math.IsNaN(meanAccuracy(&core.Trace{Cost: []float64{-80}, Feasible: []bool{false}}, -100)) {
 		t.Fatal("empty meanAccuracy should be NaN")
 	}
-	if meanAccuracy([]float64{-50, -100}, -100) != 75 {
+	if meanAccuracy(&core.Trace{Cost: []float64{-50, -80, -100}, Feasible: []bool{true, false, true}}, -100) != 75 {
 		t.Fatal("meanAccuracy wrong")
 	}
 }
@@ -291,5 +294,29 @@ func TestFig4BudgetMatchesPreset(t *testing.T) {
 	b := qkpBudgetFor(Smoke, 300)
 	if res.MeasuredSAIMMCS != int64(b.runs)*int64(b.sweeps) {
 		t.Fatalf("measured MCS %d, want %d", res.MeasuredSAIMMCS, int64(b.runs)*int64(b.sweeps))
+	}
+}
+
+func TestTunePenaltyRaisesPUntilFeasible(t *testing.T) {
+	p := qkp.Generate(14, 0.5, 1, 77).ToProblem(constraint.Binary)
+	tuned, err := tunePenalty(context.Background(), p, 10, 2, 0.2, 10,
+		core.Options{Iterations: 20, SweepsPerRun: 150, BetaMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tuned.Probes < 1 {
+		t.Fatal("no probes executed")
+	}
+	if tuned.P < 10 {
+		t.Fatalf("tuned P %v below start", tuned.P)
+	}
+	if tuned.FeasibleRatio < 0.2 {
+		t.Fatalf("tuning stopped at feasible ratio %v below the 0.2 target", tuned.FeasibleRatio)
+	}
+	if math.IsInf(tuned.BestCost, 1) {
+		t.Fatal("tuning never saw a feasible sample")
+	}
+	if _, err := tunePenalty(context.Background(), &core.Problem{}, 10, 2, 0.2, 10, core.Options{}); err == nil {
+		t.Fatal("accepted invalid problem")
 	}
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
 
-	"github.com/ising-machines/saim/internal/anneal"
 	"github.com/ising-machines/saim/internal/core"
+	"github.com/ising-machines/saim/internal/penalty"
 	"github.com/ising-machines/saim/internal/pt"
 	"github.com/ising-machines/saim/internal/qkp"
 	"github.com/ising-machines/saim/internal/report"
@@ -118,8 +119,9 @@ func table2Instance(cfg Config, b qkpBudget, d float64, id int) (*Table2Row, err
 	}
 
 	// Penalty method, same P and same sample budget.
-	pen, err := anneal.SolvePenaltyContext(cfg.Context(), prob, saim.P, anneal.Options{
-		Runs: b.runs, SweepsPerRun: b.sweeps, BetaMax: b.betaMax, Seed: seed ^ 0x5a5a,
+	penTr := &core.Trace{}
+	pen, err := core.SolvePenaltyContext(cfg.Context(), prob, saim.P, core.Options{
+		Iterations: b.runs, SweepsPerRun: b.sweeps, BetaMax: b.betaMax, Seed: seed ^ 0x5a5a, Trace: penTr,
 	})
 	if err != nil {
 		return nil, err
@@ -127,14 +129,15 @@ func table2Instance(cfg Config, b qkpBudget, d float64, id int) (*Table2Row, err
 
 	// Tuned penalty method with few long runs: coarse tuning probes at a
 	// quarter of the long budget, then the final long runs at the tuned P.
-	tuned, _, err := anneal.TunePenaltyContext(cfg.Context(), prob, saim.P, 2, 0.2, 7, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x3c3c,
+	tuned, err := tunePenalty(cfg.Context(), prob, saim.P, 2, 0.2, 7, core.Options{
+		Iterations: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x3c3c,
 	})
 	if err != nil {
 		return nil, err
 	}
-	long, err := anneal.SolvePenaltyContext(cfg.Context(), prob, tuned.P, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax, Seed: seed ^ 0xc3c3,
+	longTr := &core.Trace{}
+	long, err := core.SolvePenaltyContext(cfg.Context(), prob, tuned.P, core.Options{
+		Iterations: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax, Seed: seed ^ 0xc3c3, Trace: longTr,
 	})
 	if err != nil {
 		return nil, err
@@ -151,16 +154,43 @@ func table2Instance(cfg Config, b qkpBudget, d float64, id int) (*Table2Row, err
 		SAIMAvg:  ss.AvgAcc,
 		SAIMFeas: ss.FeasPct,
 		PenBest:  accuracyOf(pen.BestCost, opt),
-		PenAvg:   meanAccuracy(pen.FeasibleCosts, opt),
+		PenAvg:   meanAccuracy(penTr, opt),
 		PenFeas:  pen.FeasibleRatio(),
 		LongBest: accuracyOf(long.BestCost, opt),
-		LongAvg:  meanAccuracy(long.FeasibleCosts, opt),
+		LongAvg:  meanAccuracy(longTr, opt),
 		LongFeas: long.FeasibleRatio(),
 	}
 	if dn > 0 {
 		row.TunedAlpha = tuned.P / dn
 	}
 	return row, nil
+}
+
+// tunePenalty reproduces the paper's coarse tuning loop around the penalty
+// method: starting from p0, multiply P by growth until the feasible ratio
+// reaches target. Each probe spends the full o budget, mirroring how the
+// tuning phase "worsens the global execution time" (Section I). Each probe
+// checks ctx once per annealing run, so cancellation abandons the loop
+// within one run.
+func tunePenalty(ctx context.Context, p *core.Problem, p0, growth, target float64, maxProbes int, o core.Options) (penalty.TuneResult, error) {
+	if err := p.Validate(); err != nil {
+		return penalty.TuneResult{}, err
+	}
+	seed, probe := o.Seed, 0
+	eval := func(pw float64) (float64, float64) {
+		// Decorrelate probes without letting two probes share a stream.
+		o.Seed = seed + uint64(probe)*0x9e3779b9
+		probe++
+		if ctx.Err() != nil {
+			return 0, math.Inf(1)
+		}
+		res, err := core.SolvePenaltyContext(ctx, p, pw, o)
+		if err != nil {
+			return 0, math.Inf(1)
+		}
+		return res.FeasibleRatio() / 100, res.BestCost
+	}
+	return penalty.Tune(eval, p0, growth, target, maxProbes), nil
 }
 
 // QKPCompareRow holds per-instance results for Tables III/IV (SAIM vs the
@@ -258,14 +288,14 @@ func compareInstance(cfg Config, b qkpBudget, paperN int, d float64, id int) (*Q
 	}
 
 	// Best-SA stand-in: penalty SA at a tuned P with the long-run budget.
-	tuned, _, err := anneal.TunePenaltyContext(cfg.Context(), prob, saim.P, 2, 0.2, 7, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x1111,
+	tuned, err := tunePenalty(cfg.Context(), prob, saim.P, 2, 0.2, 7, core.Options{
+		Iterations: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x1111,
 	})
 	if err != nil {
 		return nil, err
 	}
-	bestSA, err := anneal.SolvePenaltyContext(cfg.Context(), prob, tuned.P, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax, Seed: seed ^ 0x2222,
+	bestSA, err := core.SolvePenaltyContext(cfg.Context(), prob, tuned.P, core.Options{
+		Iterations: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax, Seed: seed ^ 0x2222,
 	})
 	if err != nil {
 		return nil, err

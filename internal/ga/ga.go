@@ -127,14 +127,6 @@ func FromMKP(inst *mkp.Instance) *Knapsack {
 	}
 }
 
-// Solve runs the Chu–Beasley GA on the MKP instance.
-func Solve(inst *mkp.Instance, opt Options) (*Result, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	return SolveKnapsackContext(context.Background(), FromMKP(inst), opt)
-}
-
 // SolveKnapsackContext runs the steady-state GA on a generic knapsack
 // structure. The context is checked once per offspring; on cancellation the
 // best individual so far is returned with a nil error.

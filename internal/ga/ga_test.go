@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/exact"
@@ -15,7 +16,7 @@ func TestSolveReachesOptimumOnSmallInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(inst, Options{Population: 50, Children: 4000, Seed: seed})
+		res, err := SolveKnapsackContext(context.Background(), FromMKP(inst), Options{Population: 50, Children: 4000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,8 +32,8 @@ func TestSolveReachesOptimumOnSmallInstances(t *testing.T) {
 
 func TestSolveBeatsOrMatchesGreedy(t *testing.T) {
 	inst := mkp.Generate(60, 5, 0.5, 1, 31)
-	g := greedy.MKP(inst)
-	res, err := Solve(inst, Options{Population: 60, Children: 5000, Seed: 2})
+	g, _ := greedy.MKPContext(context.Background(), inst)
+	res, err := SolveKnapsackContext(context.Background(), FromMKP(inst), Options{Population: 60, Children: 5000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestSolveBeatsOrMatchesGreedy(t *testing.T) {
 
 func TestSolveDeterministic(t *testing.T) {
 	inst := mkp.Generate(20, 3, 0.5, 1, 17)
-	a, err := Solve(inst, Options{Population: 30, Children: 500, Seed: 7})
+	a, err := SolveKnapsackContext(context.Background(), FromMKP(inst), Options{Population: 30, Children: 500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(inst, Options{Population: 30, Children: 500, Seed: 7})
+	b, err := SolveKnapsackContext(context.Background(), FromMKP(inst), Options{Population: 30, Children: 500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSolveDeterministic(t *testing.T) {
 
 func TestSolveValueConsistent(t *testing.T) {
 	inst := mkp.Generate(25, 4, 0.5, 1, 19)
-	res, err := Solve(inst, Options{Population: 30, Children: 800, Seed: 3})
+	res, err := SolveKnapsackContext(context.Background(), FromMKP(inst), Options{Population: 30, Children: 800, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +75,9 @@ func TestSolveValueConsistent(t *testing.T) {
 }
 
 func TestSolveRejectsInvalidInstance(t *testing.T) {
-	bad := mkp.Generate(5, 2, 0.5, 1, 1)
-	bad.H[0] = -3
-	if _, err := Solve(bad, Options{}); err == nil {
+	bad := FromMKP(mkp.Generate(5, 2, 0.5, 1, 1))
+	bad.A = bad.A[:1] // two capacities, one weight row
+	if _, err := SolveKnapsackContext(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("accepted corrupted instance")
 	}
 }

@@ -13,19 +13,13 @@ import (
 	"github.com/ising-machines/saim/internal/qkp"
 )
 
-// QKP builds a solution by repeatedly inserting the item with the best
+// QKPContext builds a solution by repeatedly inserting the item with the best
 // marginal value density (marginal value = own value + pair values with the
 // already-selected set, divided by weight) until nothing fits. This greedy
 // re-evaluates densities after each insertion, so pair values influence the
-// choice as the knapsack fills.
-func QKP(inst *qkp.Instance) ising.Bits {
-	x, _ := QKPContext(context.Background(), inst)
-	return x
-}
-
-// QKPContext is QKP under a context, checked once per insertion (the
-// construction is O(N²) per insertion on dense instances, so a deadline
-// interrupts within one scan). The partial selection built so far is
+// choice as the knapsack fills. The context is checked once per insertion
+// (the construction is O(N²) per insertion on dense instances, so a
+// deadline interrupts within one scan). The partial selection built so far is
 // feasible by construction and is returned with truncated == true.
 func QKPContext(ctx context.Context, inst *qkp.Instance) (x ising.Bits, truncated bool) {
 	x = make(ising.Bits, inst.N)
@@ -61,17 +55,11 @@ func QKPContext(ctx context.Context, inst *qkp.Instance) (x ising.Bits, truncate
 	return x, false
 }
 
-// MKP builds a solution by scanning items in decreasing pseudo-utility
+// MKPContext builds a solution by scanning items in decreasing pseudo-utility
 // (value over capacity-normalized aggregate weight — the Chu–Beasley
-// ordering) and taking every item that fits.
-func MKP(inst *mkp.Instance) ising.Bits {
-	x, _ := MKPContext(context.Background(), inst)
-	return x
-}
-
-// MKPContext is MKP under a context, checked once per item during the
-// packing scan. The partial packing built so far is feasible by
-// construction and is returned with truncated == true.
+// ordering) and taking every item that fits. The context is checked once
+// per item during the packing scan. The partial packing built so far is
+// feasible by construction and is returned with truncated == true.
 func MKPContext(ctx context.Context, inst *mkp.Instance) (x ising.Bits, truncated bool) {
 	order := make([]int, inst.N)
 	util := make([]float64, inst.N)

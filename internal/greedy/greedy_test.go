@@ -1,6 +1,7 @@
 package greedy
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/exact"
@@ -11,7 +12,7 @@ import (
 func TestQKPFeasible(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		inst := qkp.Generate(40, 0.5, int(seed), seed)
-		x := QKP(inst)
+		x, _ := QKPContext(context.Background(), inst)
 		if !inst.Feasible(x) {
 			t.Fatalf("seed %d: greedy infeasible", seed)
 		}
@@ -25,7 +26,7 @@ func TestQKPReasonableQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := QKP(inst)
+		x, _ := QKPContext(context.Background(), inst)
 		got := inst.Value(x)
 		if float64(got) < 0.75*float64(ref.Value) {
 			t.Fatalf("seed %d: greedy %d below 75%% of OPT %d", seed, got, ref.Value)
@@ -35,7 +36,7 @@ func TestQKPReasonableQuality(t *testing.T) {
 
 func TestQKPMaximal(t *testing.T) {
 	inst := qkp.Generate(30, 0.5, 1, 9)
-	x := QKP(inst)
+	x, _ := QKPContext(context.Background(), inst)
 	used := inst.Weight(x)
 	for j := 0; j < inst.N; j++ {
 		if x[j] == 0 && used+inst.A[j] <= inst.B {
@@ -47,7 +48,7 @@ func TestQKPMaximal(t *testing.T) {
 func TestMKPFeasible(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		inst := mkp.Generate(50, 5, 0.5, int(seed), seed)
-		x := MKP(inst)
+		x, _ := MKPContext(context.Background(), inst)
 		if !inst.Feasible(x) {
 			t.Fatalf("seed %d: greedy infeasible", seed)
 		}
@@ -61,7 +62,7 @@ func TestMKPReasonableQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := MKP(inst)
+		x, _ := MKPContext(context.Background(), inst)
 		got := inst.Value(x)
 		if float64(got) < 0.8*float64(ref.Value) {
 			t.Fatalf("seed %d: greedy %d below 80%% of OPT %d", seed, got, ref.Value)
@@ -76,7 +77,7 @@ func TestMKPEmptyWhenNothingFits(t *testing.T) {
 		A: [][]int{{5, 5}},
 		B: []int{3},
 	}
-	x := MKP(inst)
+	x, _ := MKPContext(context.Background(), inst)
 	if x[0] != 0 || x[1] != 0 {
 		t.Fatalf("greedy selected unfittable items: %v", x)
 	}

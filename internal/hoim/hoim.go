@@ -313,17 +313,12 @@ type Result struct {
 	Stopped core.StopReason
 }
 
-// SolveConstrained runs the polynomial SAIM loop: minimize f subject to
+// SolveConstrainedContext runs the polynomial SAIM loop: minimize f subject to
 // g_k(x) = 0 for every constraint polynomial, by annealing
 // L = f + P·Σ g_k² + Σ λ_k g_k and updating λ_k ← λ_k + η·g_k(x̄) after
-// each run. Feasibility means |g_k(x)| ≤ tol for all k.
-func SolveConstrained(f *Poly, constraints []*Poly, tol float64, opts Options) (*Result, error) {
-	return SolveConstrainedContext(context.Background(), f, constraints, tol, opts)
-}
-
-// SolveConstrainedContext is SolveConstrained under a context, checked once
-// per annealing run. On cancellation the best-so-far result is returned
-// with a nil error and Stopped == core.StopCancelled.
+// each run. Feasibility means |g_k(x)| ≤ tol for all k. The context is
+// checked once per annealing run; on cancellation the best-so-far result
+// is returned with a nil error and Stopped == core.StopCancelled.
 func SolveConstrainedContext(ctx context.Context, f *Poly, constraints []*Poly, tol float64, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	for k, g := range constraints {

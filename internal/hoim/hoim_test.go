@@ -1,6 +1,7 @@
 package hoim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -229,7 +230,7 @@ func TestSolveConstrainedQuadraticConstraint(t *testing.T) {
 	}
 	g2.Add(-3)
 
-	res, err := SolveConstrained(f, []*Poly{g1, g2}, 1e-9, Options{
+	res, err := SolveConstrainedContext(context.Background(), f, []*Poly{g1, g2}, 1e-9, Options{
 		P: 2, Eta: 0.5, Iterations: 150, SweepsPerRun: 150, BetaMax: 8, Seed: 9,
 	})
 	if err != nil {
@@ -252,7 +253,7 @@ func TestSolveConstrainedQuadraticConstraint(t *testing.T) {
 func TestSolveConstrainedDimensionMismatch(t *testing.T) {
 	f := NewPoly(3)
 	g := NewPoly(2)
-	if _, err := SolveConstrained(f, []*Poly{g}, 1e-9, Options{}); err == nil {
+	if _, err := SolveConstrainedContext(context.Background(), f, []*Poly{g}, 1e-9, Options{}); err == nil {
 		t.Fatal("accepted mismatched constraint")
 	}
 }
@@ -265,7 +266,7 @@ func TestSolveConstrainedDeterministic(t *testing.T) {
 	g.Add(1, 1)
 	g.Add(-1)
 	run := func() *Result {
-		r, err := SolveConstrained(f, []*Poly{g}, 1e-9, Options{
+		r, err := SolveConstrainedContext(context.Background(), f, []*Poly{g}, 1e-9, Options{
 			P: 1, Eta: 0.5, Iterations: 40, SweepsPerRun: 60, Seed: 4,
 		})
 		if err != nil {

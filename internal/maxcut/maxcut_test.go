@@ -1,11 +1,13 @@
 package maxcut
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
-	"github.com/ising-machines/saim/internal/anneal"
+	"github.com/ising-machines/saim/internal/constraint"
+	"github.com/ising-machines/saim/internal/core"
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/rng"
 )
@@ -118,22 +120,35 @@ func TestGreedyCutLocallyOptimal(t *testing.T) {
 	}
 }
 
+// minimize anneals the graph's max-cut QUBO on the core engine: an empty
+// constraint system reduces Algorithm 1 to multi-run annealing.
+func minimize(t *testing.T, g *Graph, o core.Options) ising.Bits {
+	t.Helper()
+	q := g.ToQUBO()
+	p := &core.Problem{
+		Objective: q,
+		Ext:       constraint.NewSystem(g.N).Extend(constraint.Binary),
+		Cost:      q.Energy,
+	}
+	res, err := core.SolveContext(context.Background(), p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Best
+}
+
 func TestAnnealerReachesExactOptimum(t *testing.T) {
 	g := ErdosRenyi(14, 0.5, 5, 13)
 	_, want, err := ExactMaxCut(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _ := anneal.MinimizeQUBO(g.ToQUBO(), anneal.Options{
-		Runs: 30, SweepsPerRun: 300, BetaMax: 4, Seed: 1,
-	})
+	x := minimize(t, g, core.Options{Iterations: 30, SweepsPerRun: 300, BetaMax: 4, Seed: 1})
 	// βmax moderate: weights up to 5, ΔE scale ~ O(10).
 	if got := g.CutValue(x); got < want-1e-9 {
 		// One retry at colder schedule before failing: annealing is
 		// stochastic but this size should be easy.
-		x2, _ := anneal.MinimizeQUBO(g.ToQUBO(), anneal.Options{
-			Runs: 100, SweepsPerRun: 600, BetaMax: 8, Seed: 2,
-		})
+		x2 := minimize(t, g, core.Options{Iterations: 100, SweepsPerRun: 600, BetaMax: 8, Seed: 2})
 		if got2 := g.CutValue(x2); got2 < want-1e-9 {
 			t.Fatalf("annealer cut %v (then %v), optimum %v", got, got2, want)
 		}

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestSAIMSolvesPortfolio(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := inst.ToProblem(constraint.Binary)
-	res, err := core.Solve(p, core.Options{
+	res, err := core.SolveContext(context.Background(), p, core.Options{
 		Iterations: 300, SweepsPerRun: 300, Eta: 2, BetaMax: 20, Seed: 5,
 	})
 	if err != nil {

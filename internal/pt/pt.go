@@ -91,9 +91,6 @@ type Result struct {
 	SwapAttempts, SwapAccepts int
 	// P is the penalty weight used.
 	P float64
-	// FeasibleCosts holds the problem cost of every feasible sample seen
-	// at sampling points.
-	FeasibleCosts []float64
 	// Stopped records why the solve returned.
 	Stopped core.StopReason
 }
@@ -117,13 +114,8 @@ func (r *Result) FeasibleRatio() float64 {
 	return 100 * float64(r.FeasibleCount) / float64(r.SampleCount)
 }
 
-// SolvePenalty runs parallel tempering on the penalty energy
-// E = f + P‖g‖² of the given problem.
-func SolvePenalty(p *core.Problem, pWeight float64, opt Options) (*Result, error) {
-	return SolvePenaltyContext(context.Background(), p, pWeight, opt)
-}
-
-// SolvePenaltyContext is SolvePenalty under a context, checked once per
+// SolvePenaltyContext runs parallel tempering on the penalty energy
+// E = f + P‖g‖² of the given problem. The context is checked once per
 // sweep (a sweep covers every replica, the natural run granularity of PT).
 // On cancellation the best-so-far result is returned with a nil error and
 // Stopped == core.StopCancelled.
@@ -184,7 +176,6 @@ func SolvePenaltyContext(ctx context.Context, p *core.Problem, pWeight float64, 
 		if p.Ext.OrigFeasible(x, 1e-9) {
 			res.FeasibleCount++
 			cost := p.Cost(x[:p.Ext.NOrig])
-			res.FeasibleCosts = append(res.FeasibleCosts, cost)
 			if cost < res.BestCost {
 				res.BestCost = cost
 				if res.Best == nil {

@@ -1,6 +1,7 @@
 package pt
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/constraint"
@@ -52,7 +53,7 @@ func TestSolvePenaltyFindsGoodSolutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := inst.ToProblem(constraint.Binary)
-	res, err := SolvePenalty(p, 5, Options{
+	res, err := SolvePenaltyContext(context.Background(), p, 5, Options{
 		Replicas: 8, Sweeps: 400, BetaMin: 0.2, BetaMax: 12, SampleEvery: 4, Seed: 1,
 	})
 	if err != nil {
@@ -78,7 +79,7 @@ func TestSolvePenaltyFindsGoodSolutions(t *testing.T) {
 func TestSwapsActuallyHappen(t *testing.T) {
 	inst := qkp.Generate(12, 0.5, 2, 66)
 	p := inst.ToProblem(constraint.Binary)
-	res, err := SolvePenalty(p, 2, Options{
+	res, err := SolvePenaltyContext(context.Background(), p, 2, Options{
 		Replicas: 6, Sweeps: 200, BetaMin: 0.5, BetaMax: 2, Seed: 3,
 	})
 	if err != nil {
@@ -96,7 +97,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	inst := qkp.Generate(10, 0.5, 3, 77)
 	p := inst.ToProblem(constraint.Binary)
 	run := func() *Result {
-		res, err := SolvePenalty(p, 3, Options{Replicas: 4, Sweeps: 100, Seed: 11})
+		res, err := SolvePenaltyContext(context.Background(), p, 3, Options{Replicas: 4, Sweeps: 100, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestSampleEveryControlsSampleCount(t *testing.T) {
 	inst := qkp.Generate(10, 0.5, 4, 88)
 	p := inst.ToProblem(constraint.Binary)
-	res, err := SolvePenalty(p, 3, Options{Replicas: 4, Sweeps: 100, SampleEvery: 10, Seed: 1})
+	res, err := SolvePenaltyContext(context.Background(), p, 3, Options{Replicas: 4, Sweeps: 100, SampleEvery: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestSampleEveryControlsSampleCount(t *testing.T) {
 }
 
 func TestRejectsInvalidProblem(t *testing.T) {
-	if _, err := SolvePenalty(&core.Problem{}, 1, Options{}); err == nil {
+	if _, err := SolvePenaltyContext(context.Background(), &core.Problem{}, 1, Options{}); err == nil {
 		t.Fatal("accepted invalid problem")
 	}
 }

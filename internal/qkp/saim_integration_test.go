@@ -1,9 +1,9 @@
 package qkp_test
 
 import (
+	"context"
 	"testing"
 
-	"github.com/ising-machines/saim/internal/anneal"
 	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/core"
 	"github.com/ising-machines/saim/internal/exact"
@@ -22,14 +22,14 @@ func TestSAIMBeatsPenaltyAtSameSmallP(t *testing.T) {
 	}
 	p := inst.ToProblem(constraint.Binary)
 
-	saim, err := core.Solve(p, core.Options{
+	saim, err := core.SolveContext(context.Background(), p, core.Options{
 		Alpha: 2, Eta: 20, Iterations: 300, SweepsPerRun: 300, BetaMax: 10, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pen, err := anneal.SolvePenalty(p, saim.P, anneal.Options{
-		Runs: 300, SweepsPerRun: 300, BetaMax: 10, Seed: 3,
+	pen, err := core.SolvePenaltyContext(context.Background(), p, saim.P, core.Options{
+		Iterations: 300, SweepsPerRun: 300, BetaMax: 10, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSAIMBeatsPenaltyAtSameSmallP(t *testing.T) {
 // "less parameter-sensitive" claim).
 func TestSAIMRobustToEta(t *testing.T) {
 	inst := qkp.Generate(30, 0.5, 1, 77)
-	ref, err := exact.SolveQKP(inst, exact.Options{})
+	ref, err := exact.SolveQKPContext(context.Background(), inst, exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSAIMRobustToEta(t *testing.T) {
 	}
 	p := inst.ToProblem(constraint.Binary)
 	for _, eta := range []float64{5, 20, 50} {
-		res, err := core.Solve(p, core.Options{
+		res, err := core.SolveContext(context.Background(), p, core.Options{
 			Alpha: 2, Eta: eta, Iterations: 300, SweepsPerRun: 300, BetaMax: 10, Seed: 3,
 		})
 		if err != nil {

@@ -48,12 +48,12 @@ type Model struct {
 	form Form
 	n    int
 
-	// Quadratic forms: the objective in the caller's original units.
+	// Quadratic forms: the objective in the caller's original units, the
+	// original constraint system (empty when unconstrained), and the
+	// normalized extended problem the annealing backends consume.
 	rawObj *ising.QUBO
-	// Constrained form: the original constraint system and the normalized
-	// extended problem SAIM and the penalty baselines consume.
-	sys   *constraint.System
-	inner *core.Problem
+	sys    *constraint.System
+	inner  *core.Problem
 
 	// High-order form: polynomial objective and equality constraints.
 	hobj  *hoim.Poly
@@ -68,14 +68,10 @@ func (m *Model) N() int { return m.n }
 
 // NumConstraints returns the number of constraints (linear or polynomial).
 func (m *Model) NumConstraints() int {
-	switch m.form {
-	case FormConstrained:
-		return m.sys.M()
-	case FormHighOrder:
+	if m.form == FormHighOrder {
 		return len(m.hcons)
-	default:
-		return 0
 	}
+	return m.sys.M()
 }
 
 // Evaluate returns the objective value of an assignment in the caller's
@@ -87,9 +83,7 @@ func (m *Model) Evaluate(assignment []int) (cost float64, feasible bool, err err
 		return 0, false, err
 	}
 	switch m.form {
-	case FormUnconstrained:
-		return m.rawObj.Energy(x), true, nil
-	case FormConstrained:
+	case FormUnconstrained, FormConstrained:
 		return m.rawObj.Energy(x), m.sys.Feasible(x, 1e-9), nil
 	case FormHighOrder:
 		feasible = true
@@ -103,6 +97,13 @@ func (m *Model) Evaluate(assignment []int) (cost float64, feasible bool, err err
 	default:
 		return 0, false, fmt.Errorf("saim: unknown model form %v", m.form)
 	}
+}
+
+// Monomial is one weighted product term w·Π_{i∈Vars} x_i of a higher-order
+// pseudo-Boolean polynomial. An empty Vars list denotes a constant.
+type Monomial struct {
+	W    float64
+	Vars []int
 }
 
 // Term adds the monomial w·Π_i x_i to the minimization objective. Duplicate
@@ -164,17 +165,16 @@ func (b *Builder) Model() (*Model, error) {
 	if len(b.hterms) > 0 || len(b.pcons) > 0 {
 		return b.buildHighOrder()
 	}
-	if b.sys.M() > 0 {
-		return b.buildConstrained()
-	}
-	return &Model{form: FormUnconstrained, n: b.n, rawObj: b.obj.Clone()}, nil
+	return b.buildQuadratic()
 }
 
-// buildConstrained prepares the normalized SAIM form exactly as the paper
+// buildQuadratic prepares the normalized SAIM form exactly as the paper
 // prescribes: the extended (decision + slack) system and objective are each
 // normalized by their largest absolute coefficient. The constraint system
-// is deep-copied so reusing the builder never mutates a built model.
-func (b *Builder) buildConstrained() (*Model, error) {
+// is deep-copied so reusing the builder never mutates a built model. An
+// unconstrained model gets the same form over an empty system (M = 0),
+// which the core engine anneals as plain multi-run SA.
+func (b *Builder) buildQuadratic() (*Model, error) {
 	sys := constraint.NewSystem(b.sys.N)
 	for _, c := range b.sys.Cons {
 		sys.Add(c.A, c.Sense, c.B) // Add clones the coefficient vector
@@ -206,8 +206,12 @@ func (b *Builder) buildConstrained() (*Model, error) {
 	if err := inner.Validate(); err != nil {
 		return nil, err
 	}
+	form := FormConstrained
+	if sys.M() == 0 {
+		form = FormUnconstrained
+	}
 	return &Model{
-		form:   FormConstrained,
+		form:   form,
 		n:      b.n,
 		rawObj: raw,
 		sys:    ext.Orig,

@@ -1,6 +1,7 @@
 package saim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -8,21 +9,27 @@ import (
 // knapsack3 builds max 6x₀+5x₁+8x₂ s.t. 2x₀+3x₁+4x₂ ≤ 5: OPT takes items
 // 0 and 1? (2+3=5 ≤ 5, value 11) vs item 2 alone (value 8) vs 0+2 (6 weight,
 // no). OPT = 11.
-func knapsack3(t *testing.T) *Problem {
+func knapsack3(t *testing.T) *Model {
 	t.Helper()
 	b := NewBuilder(3)
 	b.Linear(0, -6).Linear(1, -5).Linear(2, -8)
 	b.ConstrainLE([]float64{2, 3, 4}, 5)
-	p, err := b.Build()
+	m, err := b.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return m
+}
+
+// solveSAIM runs the saim backend with the paper's knobs.
+func solveSAIM(m *Model, iters, sweeps int, eta float64, seed uint64, opts ...Option) (*Result, error) {
+	opts = append([]Option{WithIterations(iters), WithSweepsPerRun(sweeps), WithEta(eta), WithSeed(seed)}, opts...)
+	return SolveModel(context.Background(), "saim", m, opts...)
 }
 
 func TestSolveQuickstart(t *testing.T) {
 	p := knapsack3(t)
-	res, err := Solve(p, Options{Iterations: 150, SweepsPerRun: 150, Eta: 1, Seed: 1})
+	res, err := solveSAIM(p, 150, 150, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +84,11 @@ func TestQuadraticObjective(t *testing.T) {
 	b.Linear(0, -3).Linear(1, -3).Linear(2, -7)
 	b.Quadratic(0, 1, -6)
 	b.ConstrainLE([]float64{1, 1, 2}, 2)
-	p, err := b.Build()
+	p, err := b.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(p, Options{Iterations: 200, SweepsPerRun: 150, Eta: 1, Seed: 5})
+	res, err := solveSAIM(p, 200, 150, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +102,11 @@ func TestEqualityConstraint(t *testing.T) {
 	b := NewBuilder(3)
 	b.Linear(2, -5).Linear(1, -1)
 	b.ConstrainEQ([]float64{1, 1, 1}, 1)
-	p, err := b.Build()
+	p, err := b.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(p, Options{Iterations: 120, SweepsPerRun: 120, Eta: 1, Seed: 2})
+	res, err := solveSAIM(p, 120, 120, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,44 +119,49 @@ func TestEqualityConstraint(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	if _, err := NewBuilder(0).Build(); err == nil {
+	if _, err := NewBuilder(0).Model(); err == nil {
 		t.Fatal("accepted n=0")
 	}
 	b := NewBuilder(2)
 	b.Linear(5, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted out-of-range index")
 	}
 	b = NewBuilder(2)
 	b.Quadratic(1, 1, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted diagonal quadratic")
 	}
 	b = NewBuilder(2)
 	b.ConstrainLE([]float64{1}, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted wrong-length constraint")
 	}
 	b = NewBuilder(2)
 	b.ConstrainLE([]float64{-1, 1}, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted negative ≤ coefficient")
 	}
 	b = NewBuilder(2)
 	b.ConstrainLE([]float64{1, 1}, -1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted negative bound")
 	}
 	b = NewBuilder(2)
 	b.Linear(0, -1)
-	if _, err := b.Build(); err == nil {
-		t.Fatal("accepted unconstrained problem")
+	m, err := b.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SolveModel(context.Background(), "penalty", m); err == nil {
+		t.Fatal("penalty method accepted an unconstrained problem")
 	}
 }
 
 func TestSolvePenaltyMethodComparison(t *testing.T) {
 	p := knapsack3(t)
-	res, err := SolvePenaltyMethod(p, 50, Options{Iterations: 150, SweepsPerRun: 150, Seed: 3})
+	res, err := SolveModel(context.Background(), "penalty", p,
+		WithPenalty(50), WithIterations(150), WithSweepsPerRun(150), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +171,18 @@ func TestSolvePenaltyMethodComparison(t *testing.T) {
 	if res.Cost > -8 {
 		t.Fatalf("penalty method cost %v implausibly bad", res.Cost)
 	}
-	if _, err := SolvePenaltyMethod(p, 0, Options{}); err == nil {
-		t.Fatal("accepted zero penalty weight")
+	if _, err := SolveModel(context.Background(), "penalty", p, WithPenalty(-1)); err == nil {
+		t.Fatal("accepted negative penalty weight")
 	}
 }
 
 func TestSolveDeterministic(t *testing.T) {
 	p := knapsack3(t)
-	a, err := Solve(p, Options{Iterations: 60, SweepsPerRun: 80, Eta: 1, Seed: 11})
+	a, err := solveSAIM(p, 60, 80, 1, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(p, Options{Iterations: 60, SweepsPerRun: 80, Eta: 1, Seed: 11})
+	b, err := solveSAIM(p, 60, 80, 1, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +200,7 @@ func TestResultInfeasible(t *testing.T) {
 
 func TestSolveParallelFacade(t *testing.T) {
 	p := knapsack3(t)
-	res, err := SolveParallel(p, Options{Iterations: 60, SweepsPerRun: 100, Eta: 1, Seed: 1}, 3)
+	res, err := solveSAIM(p, 60, 100, 1, 1, WithReplicas(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +212,5 @@ func TestSolveParallelFacade(t *testing.T) {
 	}
 	if res.Sweeps != 3*60*100 {
 		t.Fatalf("Sweeps = %d", res.Sweeps)
-	}
-	if _, err := SolveParallel(p, Options{}, 0); err == nil {
-		t.Fatal("accepted zero replicas")
 	}
 }

@@ -99,12 +99,14 @@ func TestDurableRoundTripAndRestart(t *testing.T) {
 			t.Fatalf("assignment = %v", res.Assignment)
 		}
 	}
+	// Read after Close: a worker bumps its counters just after the job
+	// turns done, and only an idle pool guarantees they are final.
+	if err := mgr.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 	st := mgr.Stats()
 	if !st.Durable || st.Completed != 2 || st.WALAppended == 0 || st.WALLag != 0 {
 		t.Fatalf("durable stats = %+v", st)
-	}
-	if err := mgr.Close(context.Background()); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 
 	mgr2 := openTestManager(t, Config{Dir: dir, Fsync: SyncAlways, Workers: 2})
@@ -117,6 +119,67 @@ func TestDurableRoundTripAndRestart(t *testing.T) {
 	}
 	if j.ID() != "job-000003" {
 		t.Fatalf("post-restart id = %s, want job-000003 (counter must resume past journaled ids)", j.ID())
+	}
+}
+
+// TestDurableSubmittedRecordPrecedesJobRecords pins the journal ordering
+// invariant: a job's submitted record precedes every other record of that
+// job. Submit appends it outside m.mu after the job is already queued; a
+// worker that started and finished the job first would leave a log whose
+// replay re-queues a completed job. A slow append (the failpoint) piles
+// concurrent submissions and workers up on the journal to widen that
+// window.
+func TestDurableSubmittedRecordPrecedesJobRecords(t *testing.T) {
+	dir := t.TempDir()
+	faultkit.Set("wal.append", faultkit.Sleep(50*time.Microsecond))
+	t.Cleanup(func() { faultkit.Clear("wal.append") })
+	mgr := openTestManager(t, Config{Dir: dir, Fsync: SyncAlways, Workers: 4, QueueDepth: 128})
+	const jobs = 64
+	var wg sync.WaitGroup
+	errs := make(chan error, jobs)
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			j, err := mgr.Submit(Request{Model: knapModel(float64(i)), Solver: "greedy"})
+			if err == nil {
+				_, err = j.Wait(context.Background())
+			}
+			if err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	faultkit.Clear("wal.append")
+
+	log, recs, err := wal.Open(dir, wal.Config{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := map[string]bool{}
+	for _, r := range recs {
+		switch {
+		case r.Job == "":
+		case r.Kind == wal.KindSubmitted:
+			submitted[r.Job] = true
+		case !submitted[r.Job]:
+			t.Errorf("%v record of %s precedes its submitted record", r.Kind, r.Job)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mgr2 := openTestManager(t, Config{Dir: dir, Workers: 1})
+	if n := len(mgr2.Jobs()); n != 0 {
+		t.Fatalf("restart re-queued %d completed jobs", n)
 	}
 }
 

@@ -73,9 +73,20 @@ type Job struct {
 	// the job is visible to any worker and read-only afterwards.
 	wireOnly bool
 
+	// journaled is closed once Submit has settled the job's submitted
+	// record: appended, or failed and retracted. Workers and Steal wait
+	// for it, so the submitted record precedes every other record of the
+	// job in the log. Nil when there is nothing to wait for (in-memory
+	// managers, recovered jobs). Set before the job is visible to any
+	// worker and read-only afterwards.
+	journaled chan struct{}
+
 	mu        sync.Mutex
 	state     State // guarded by mu
 	cancelled bool  // guarded by mu
+	// retracted marks a submission whose journal append failed: it has
+	// no records in the log and must never get any. guarded by mu
+	retracted bool
 	// remote marks a job currently executing on another cluster node
 	// (handed out by Steal); lease re-queues it if the thief never
 	// reports back. guarded by mu
@@ -96,6 +107,20 @@ type Job struct {
 
 func (j *Job) lock()   { j.mu.Lock() }
 func (j *Job) unlock() { j.mu.Unlock() }
+
+// journalSettled reports, without blocking, whether Submit has settled
+// the job's submitted record.
+func (j *Job) journalSettled() bool {
+	if j.journaled == nil {
+		return true
+	}
+	select {
+	case <-j.journaled:
+		return true
+	default:
+		return false
+	}
+}
 
 // ID returns the job's unique identifier.
 func (j *Job) ID() string { return j.id }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/ising-machines/saim/internal/faultkit"
+	"github.com/ising-machines/saim/internal/wal"
 )
 
 // These tests pin the lockguard findings fixed in this PR: Submit and
@@ -109,13 +111,25 @@ func TestStealJournalsOutsideManagerLock(t *testing.T) {
 
 // TestRetractedSubmitLeavesNoTrace pins the new failure path: when the
 // journal rejects the submitted record, the already-queued job is
-// retracted — it disappears from the index, never runs, and an identical
-// resubmission after the journal recovers starts fresh instead of
-// deduplicating onto the doomed job.
+// retracted — it disappears from the index, never runs, leaves no record
+// in the log, and an identical resubmission after the journal recovers
+// starts fresh instead of deduplicating onto the doomed job.
 func TestRetractedSubmitLeavesNoTrace(t *testing.T) {
 	setupTestSolvers(t)
-	mgr := openTestManager(t, Config{Dir: t.TempDir(), Fsync: SyncAlways, Workers: 1, QueueDepth: 8})
-	blockWorker(t, mgr)
+	dir := t.TempDir()
+	// Checkpoints are off so the blocker journals exactly two records.
+	mgr := openTestManager(t, Config{Dir: dir, Fsync: SyncAlways, Workers: 1, QueueDepth: 8, CheckpointInterval: -1})
+	blocker := blockWorker(t, mgr)
+	// The one-shot fault must hit this test's submission, not the
+	// blocker's started record: wait until both blocker records (submitted
+	// and started) are appended, not only until its state reads running.
+	deadline := time.Now().Add(10 * time.Second)
+	for mgr.Stats().WALAppended < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker's started record never reached the journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	faultkit.Set("wal.append", faultkit.Times(1, faultkit.Error(errors.New("journal disk gone"))))
 	t.Cleanup(func() { faultkit.Clear("wal.append") })
@@ -130,11 +144,38 @@ func TestRetractedSubmitLeavesNoTrace(t *testing.T) {
 
 	// The journal works again: the identical request must be admitted as
 	// a fresh job, not deduplicated onto the retracted one.
+	solves := countSolves.Load()
 	j, err := mgr.Submit(req)
 	if err != nil {
 		t.Fatalf("resubmit after journal recovery: %v", err)
 	}
 	if j.Status().Hits != 1 {
 		t.Fatalf("resubmission deduped onto the retracted job: hits=%d", j.Status().Hits)
+	}
+	if blocker.ID() != "job-000001" || j.ID() != "job-000003" {
+		t.Fatalf("ids %s, %s; want job-000001 and job-000003", blocker.ID(), j.ID())
+	}
+
+	// The retracted job sits in the queue between the blocker and the
+	// resubmission; once the resubmission is done the worker has passed it.
+	blocker.Cancel()
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatalf("resubmission: %v", err)
+	}
+	if n := countSolves.Load() - solves; n != 1 {
+		t.Fatalf("%d solves ran; the retracted job must never run", n)
+	}
+	if err := mgr.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	log, recs, err := wal.Open(dir, wal.Config{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	for _, r := range recs {
+		if r.Job == "job-000002" {
+			t.Fatalf("retracted job left a %v record in the journal", r.Kind)
+		}
 	}
 }

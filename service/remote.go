@@ -178,7 +178,8 @@ func (m *Manager) stealOne(lease time.Duration) (*StolenJob, *Job, int, bool) {
 			return nil, nil, 0, false
 		}
 		j.lock()
-		stealable := j.wireOnly && !j.cancelled && j.ctx.Err() == nil && j.state == StateQueued
+		stealable := j.wireOnly && !j.cancelled && j.ctx.Err() == nil && j.state == StateQueued &&
+			j.journalSettled()
 		if !stealable {
 			j.unlock()
 			putBack = append(putBack, j)

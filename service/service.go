@@ -344,15 +344,22 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// The journal append runs OUTSIDE m.mu: under Fsync=SyncAlways every
 	// Append fsyncs, and an fsync must never gate Job/Stats/Cancel and
 	// every other m.mu operation (lockguard enforces this). The job is
-	// already queued and indexed; on journal failure it is retracted
-	// before a worker can run it, and since its submitted record never
-	// reached the log a crash cannot resurrect it. A concurrent
-	// identical submission in the retraction window dedups onto the
-	// doomed job and observes it cancelled — the same journal failure it
-	// would have hit itself.
+	// already queued and indexed, but no worker or thief starts it until
+	// journaled is closed, so its submitted record precedes every other
+	// record of the job (replay would otherwise re-queue a job whose
+	// finished record came first). On journal failure the job is
+	// retracted before that release: it never runs, and since its
+	// submitted record never reached the log a crash cannot resurrect
+	// it. A concurrent identical submission in the retraction window
+	// dedups onto the doomed job and observes it cancelled — the same
+	// journal failure it would have hit itself.
 	if m.wal != nil {
-		if err := m.journalSubmitted(j, limit); err != nil {
+		err := m.journalSubmitted(j, limit)
+		if err != nil {
 			m.retractSubmit(j)
+		}
+		close(j.journaled)
+		if err != nil {
 			return nil, fmt.Errorf("service: journal submit: %w", err)
 		}
 	}
@@ -407,6 +414,9 @@ func (m *Manager) admit(req Request, key string, wireOnly bool, limit time.Durat
 		submitted: time.Now(),
 	}
 	j.req.TimeLimit = limit
+	if m.wal != nil {
+		j.journaled = make(chan struct{})
+	}
 	select {
 	case m.queue <- j:
 	default:
@@ -422,10 +432,11 @@ func (m *Manager) admit(req Request, key string, wireOnly bool, limit time.Durat
 
 // retractSubmit undoes an admission whose journal append failed: the job
 // leaves the index immediately, and the worker that dequeues it sees the
-// cancellation and finalizes it without running.
+// cancellation and finalizes it without running or journaling.
 func (m *Manager) retractSubmit(j *Job) {
 	j.lock()
 	j.cancelled = true
+	j.retracted = true
 	j.unlock()
 	j.cancel()
 	m.mu.Lock()
@@ -570,13 +581,19 @@ func (t *workerTotals) commit() {
 // runJob executes one job on worker w: cancellation and queue-expiry
 // fast paths, then up to 1+MaxRetries contained solve attempts.
 func (m *Manager) runJob(w int, j *Job, totals *workerTotals) {
+	if j.journaled != nil {
+		<-j.journaled // Submit is appending the submitted record
+	}
 	j.lock()
 	if j.cancelled || j.ctx.Err() != nil {
+		retracted := j.retracted
 		j.unlock()
 		j.finalize(StateCancelled, nil, context.Canceled)
 		m.detach(j)
 		m.ctr.cancelled.Add(1)
-		m.journalFinish(j, wal.KindCancelled, nil)
+		if !retracted {
+			m.journalFinish(j, wal.KindCancelled, nil)
+		}
 		m.noteFinished(j.id)
 		return
 	}

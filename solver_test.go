@@ -394,15 +394,45 @@ func TestBuilderReuseDoesNotMutateModel(t *testing.T) {
 	}
 }
 
-func TestReplicasRejectedOffConstrainedForm(t *testing.T) {
-	b := NewBuilder(2)
-	b.Linear(0, -1).Linear(1, -1).Quadratic(0, 1, 2)
+func TestReplicasRejectedOnHighOrder(t *testing.T) {
+	b := NewBuilder(3)
+	b.Linear(2, -1)
+	b.ConstrainPolyEQ(Monomial{W: 1, Vars: []int{0, 1}}, Monomial{W: -1})
 	m, err := b.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := SolveModel(context.Background(), "saim", m, WithReplicas(4)); err == nil {
-		t.Fatal("saim accepted WithReplicas on an unconstrained model")
+		t.Fatal("saim accepted WithReplicas on a high-order model")
+	}
+}
+
+// Unconstrained models run on the replica pool too; packing 64 replicas
+// into one bit-packed group must not change the merged result.
+func TestUnconstrainedReplicasPackedMatchesScalar(t *testing.T) {
+	b := NewBuilder(12)
+	for i := 0; i < 12; i++ {
+		b.Linear(i, -2).Quadratic(i, (i+1)%12, 2).Quadratic(i, (i+5)%12, 1)
+	}
+	m, err := b.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mode PackedMode) *Result {
+		res, err := SolveModel(context.Background(), "saim", m, WithReplicas(64),
+			WithPackedReplicas(mode), WithIterations(8), WithSweepsPerRun(40), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	packed, scalar := run(PackedOn), run(PackedOff)
+	if packed.Cost != scalar.Cost || packed.FeasibleRatio != scalar.FeasibleRatio ||
+		packed.Sweeps != scalar.Sweeps || packed.Iterations != scalar.Iterations {
+		t.Fatalf("packed %+v, scalar %+v", packed, scalar)
+	}
+	if packed.Iterations != 64*8 || packed.FeasibleRatio != 100 || packed.Penalty != 0 {
+		t.Fatalf("unconstrained pool: iterations %d, feasible %v%%, P %v", packed.Iterations, packed.FeasibleRatio, packed.Penalty)
 	}
 }
 
@@ -421,35 +451,5 @@ func TestHighOrderReportsSweeps(t *testing.T) {
 	}
 	if res.Sweeps != 20*30 {
 		t.Fatalf("high-order Sweeps = %d, want %d", res.Sweeps, 20*30)
-	}
-}
-
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	b := NewBuilder(3)
-	b.Linear(0, -6).Linear(1, -5).Linear(2, -8)
-	b.ConstrainLE([]float64{2, 3, 4}, 5)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(p, Options{Iterations: 150, SweepsPerRun: 150, Eta: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != -11 {
-		t.Fatalf("wrapper Solve cost = %v, want -11", res.Cost)
-	}
-	if res.Solver != "saim" {
-		t.Fatalf("wrapper result labeled %q", res.Solver)
-	}
-	par, err := SolveParallel(p, Options{Iterations: 60, SweepsPerRun: 100, Eta: 1, Seed: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Iterations != 180 {
-		t.Fatalf("SolveParallel iterations = %d, want 180", par.Iterations)
-	}
-	if _, err := SolveParallel(p, Options{}, 0); err == nil {
-		t.Fatal("SolveParallel accepted zero replicas")
 	}
 }

@@ -1,12 +1,19 @@
 package saim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestBuildUnconstrainedRejectsConstraints(t *testing.T) {
 	b := NewBuilder(2)
 	b.ConstrainLE([]float64{1, 1}, 1)
-	if _, err := b.BuildUnconstrained(); err == nil {
-		t.Fatal("accepted constrained builder")
+	m, err := b.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Form() != FormConstrained {
+		t.Fatalf("builder with a constraint gave a %v model", m.Form())
 	}
 }
 
@@ -20,14 +27,19 @@ func TestMinimizeMaxCutTriangle(t *testing.T) {
 		b.Linear(e[0], -1).Linear(e[1], -1)
 		b.Quadratic(e[0], e[1], 2)
 	}
-	q, err := b.BuildUnconstrained()
+	q, err := b.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, cost, err := Minimize(q, Options{Iterations: 40, SweepsPerRun: 100, Seed: 1})
+	if q.Form() != FormUnconstrained {
+		t.Fatalf("form = %v, want %v", q.Form(), FormUnconstrained)
+	}
+	res, err := SolveModel(context.Background(), "saim", q,
+		WithIterations(40), WithSweepsPerRun(100), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	x, cost := res.Assignment, res.Cost
 	if cost != -2 {
 		t.Fatalf("cut energy = %v, want -2", cost)
 	}
@@ -36,14 +48,14 @@ func TestMinimizeMaxCutTriangle(t *testing.T) {
 		t.Fatalf("not a 2-1 split: %v", x)
 	}
 	// Evaluate must agree.
-	ev, err := q.Evaluate(x)
+	ev, _, err := q.Evaluate(x)
 	if err != nil || ev != cost {
 		t.Fatalf("Evaluate = %v, %v", ev, err)
 	}
 }
 
 func TestMinimizeNil(t *testing.T) {
-	if _, _, err := Minimize(nil, Options{}); err == nil {
+	if _, err := SolveModel(context.Background(), "saim", nil); err == nil {
 		t.Fatal("accepted nil problem")
 	}
 }
@@ -51,14 +63,14 @@ func TestMinimizeNil(t *testing.T) {
 func TestQUBOProblemEvaluateErrors(t *testing.T) {
 	b := NewBuilder(2)
 	b.Linear(0, 1)
-	q, err := b.BuildUnconstrained()
+	q, err := b.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.N() != 2 {
 		t.Fatalf("N = %d", q.N())
 	}
-	if _, err := q.Evaluate([]int{1}); err == nil {
+	if _, _, err := q.Evaluate([]int{1}); err == nil {
 		t.Fatal("accepted short assignment")
 	}
 }
