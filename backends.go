@@ -119,8 +119,6 @@ func coreOptions(name string, m *Model, cfg config) (core.Options, error) {
 		SweepsPerRun: cfg.sweepsPerRun,
 		BetaMax:      cfg.betaMax,
 		Seed:         cfg.seed,
-		Machine:      cfg.machine,
-		Packed:       cfg.packed,
 		Progress:     progressAdapter(name, cfg.progress),
 		TargetCost:   cfg.targetCost,
 		Patience:     cfg.patience,
@@ -310,7 +308,6 @@ func (s *ptSolver) Solve(ctx context.Context, m *Model, opts ...Option) (*Result
 		BetaMax:     orDefaultF(cfg.betaMax, 10),
 		SampleEvery: 10,
 		Seed:        cfg.seed,
-		Machine:     cfg.machine,
 		Progress:    progressAdapter("pt", cfg.progress),
 		TargetCost:  cfg.targetCost,
 		Initial:     init,

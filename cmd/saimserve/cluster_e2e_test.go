@@ -123,7 +123,7 @@ func TestClusterKillNodeE2E(t *testing.T) {
 	// Long deadline-bounded jobs everywhere: no_dedup pins each to the
 	// node it was submitted to, and the wall-clock limit guarantees they
 	// are still mid-solve at kill time yet finish promptly after.
-	long := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":100000000,"sweeps_per_run":50,"time_limit_ms":5000},"model":` + knapWire + `}`
+	long := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":65536,"sweeps_per_run":80000,"time_limit_ms":5000},"model":` + knapWire + `}`
 	jobs := make(map[string][]string) // node → its accepted job ids
 	for i, id := range ids {
 		for k := 0; k < 2; k++ {

@@ -239,7 +239,7 @@ func TestClusterSSERelayThroughNonOwner(t *testing.T) {
 // them over and every job still completes with its original id.
 func TestClusterWorkStealing(t *testing.T) {
 	tc := startCluster(t, 3, service.Config{Workers: 1, QueueDepth: 32})
-	submit := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":100000,"sweeps_per_run":50,"time_limit_ms":30000},"model":` + knapWire + `}`
+	submit := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":65536,"sweeps_per_run":80,"time_limit_ms":30000},"model":` + knapWire + `}`
 	const njobs = 8
 	var ids []string
 	for i := 0; i < njobs; i++ {

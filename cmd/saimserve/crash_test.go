@@ -109,7 +109,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	// a wall-clock limit, so each is guaranteed to still be mid-solve at
 	// kill time and to terminate promptly after recovery.
 	const njobs = 4
-	submit := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":100000000,"sweeps_per_run":50,"time_limit_ms":4000},"model":` + knapWire + `}`
+	submit := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":65536,"sweeps_per_run":80000,"time_limit_ms":4000},"model":` + knapWire + `}`
 	ids := make([]string, 0, njobs)
 	for i := 0; i < njobs; i++ {
 		resp, body := post(t, url1+"/v1/jobs", fmt.Sprintf(submit, 100+i))

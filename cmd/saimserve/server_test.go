@@ -228,7 +228,7 @@ func TestBatchEndpoint(t *testing.T) {
 func TestCancelEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1})
 	_, body := post(t, ts.URL+"/v1/jobs",
-		`{"solver":"saim","options":{"seed":1,"iterations":2000000,"sweeps_per_run":200},"model":`+knapWire+`}`)
+		`{"solver":"saim","options":{"seed":1,"iterations":65536,"sweeps_per_run":6000},"model":`+knapWire+`}`)
 	var env jobEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestErrorStatuses(t *testing.T) {
 		t.Fatalf("bad model: %d", resp.StatusCode)
 	}
 	// Fill the single-worker, depth-1 queue with long jobs, then expect 503.
-	long := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":2000000,"sweeps_per_run":200},"model":` + knapWire + `}`
+	long := `{"solver":"saim","no_dedup":true,"options":{"seed":%d,"iterations":65536,"sweeps_per_run":6000},"model":` + knapWire + `}`
 	saw503 := false
 	var ids []string
 	for i := 0; i < 8; i++ {
@@ -347,7 +347,7 @@ func TestStatuszEndpoint(t *testing.T) {
 func TestTimeLimitOverHTTP(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1})
 	_, body := post(t, ts.URL+"/v1/jobs",
-		`{"solver":"saim","options":{"seed":2,"iterations":2000000,"sweeps_per_run":200,"time_limit_ms":150},"model":`+knapWire+`}`)
+		`{"solver":"saim","options":{"seed":2,"iterations":65536,"sweeps_per_run":6000,"time_limit_ms":150},"model":`+knapWire+`}`)
 	var env jobEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)

@@ -219,7 +219,6 @@ func (s *decompSolver) Solve(ctx context.Context, m *Model, opts ...Option) (*Re
 			WithSeed(seed),
 			WithIterations(iters),
 			WithSweepsPerRun(sweeps),
-			WithMachine(cfg.machine),
 			WithInitial(fromBits(sub.Warm)),
 		}
 		if cfg.betaMax != 0 {

@@ -42,11 +42,11 @@ func main() {
 
 	m := model.New()
 	run := m.Binary("run", len(names))
-	obj := model.Dot(margin, run)
+	obj := []model.Expr{model.Dot(margin, run)}
 	for _, s := range synergies {
-		obj = obj.Add(run[s.a].Times(run[s.b]).Mul(s.bonus))
+		obj = append(obj, run[s.a].Times(run[s.b]).Mul(s.bonus))
 	}
-	m.Maximize(obj)
+	m.Maximize(model.Sum(obj...))
 	m.Constrain("hours", model.Dot(hours, run).LE(hourBudget))
 	m.Constrain("lines", run.Sum().EQ(linesToStaff))
 

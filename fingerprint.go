@@ -10,17 +10,17 @@ import (
 // OptionsFingerprint returns a hash-stable hex digest of the
 // solve-relevant settings carried by an option list. Two option lists
 // fingerprint identically exactly when they configure the same solve:
-// every deterministic knob — penalty parameters, budgets, seed, machine
-// kind, limits, warm start, decomposition and race settings — is folded
-// into the digest in a fixed order. WithProgress is deliberately
-// excluded: a progress callback observes a solve without changing it, so
-// two submissions differing only in observation dedup to one.
+// every deterministic knob — penalty parameters, budgets, seed, limits,
+// warm start, decomposition and race settings — is folded into the
+// digest in a fixed order. WithProgress is deliberately excluded: a
+// progress callback observes a solve without changing it, so two
+// submissions differing only in observation dedup to one.
 //
 // The digest is stable across processes and platforms for a given library
 // version (it hashes explicit field encodings, never Go runtime
 // representations); it is not guaranteed stable across versions that add
-// options. A solve service combines it with model.Model.Fingerprint to
-// key its result cache.
+// or remove options. A solve service combines it with
+// model.Model.Fingerprint to key its result cache.
 func OptionsFingerprint(opts ...Option) string {
 	c := buildConfig(opts)
 	h := sha256.New()
@@ -42,8 +42,6 @@ func OptionsFingerprint(opts ...Option) string {
 	u64(uint64(c.sweepsPerRun))
 	f64(c.betaMax)
 	u64(c.seed)
-	u64(uint64(c.machine))
-	u64(uint64(c.packed))
 	u64(uint64(c.replicas))
 	u64(uint64(c.population))
 	u64(uint64(c.timeLimit))

@@ -41,7 +41,7 @@ func TestSolveSteadyStateZeroAllocsSparse(t *testing.T) {
 		return testing.AllocsPerRun(10, func() {
 			if _, err := SolveContext(context.Background(), p, Options{
 				Iterations: iters, SweepsPerRun: 25, Eta: 0.5, Seed: 7,
-				Machine: MachineSparse,
+				Factory: SparseFactory,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -77,30 +77,61 @@ func TestMachineKindResolve(t *testing.T) {
 	}
 }
 
-// Forcing either kernel must not change the solve outcome: the machines
-// are trajectory-identical for the same seed.
-func TestSolveMachineKindsAgree(t *testing.T) {
-	p, _ := knapsackProblem([]float64{6, 5, 8, 9}, []float64{2, 3, 6, 7}, 10)
-	run := func(k MachineKind) *Result {
-		res, err := SolveContext(context.Background(), p, Options{
-			Iterations: 40, SweepsPerRun: 60, Eta: 0.5, Seed: 13, Machine: k,
-		})
-		if err != nil {
-			t.Fatal(err)
+// pairKnapsack is a small knapsack with pair values, so both kernels walk
+// a non-trivial coupling structure.
+func pairKnapsack() *Problem {
+	p, _ := knapsackProblem([]float64{6, 5, 8, 9, 6, 7}, []float64{2, 3, 6, 7, 5, 9}, 15)
+	pairs := []struct {
+		i, j int
+		w    float64
+	}{{0, 2, -3}, {1, 4, -2}, {3, 5, -4}}
+	linear := p.Cost
+	for _, q := range pairs {
+		p.Objective.AddQuad(q.i, q.j, q.w)
+	}
+	p.Cost = func(x ising.Bits) float64 {
+		c := linear(x)
+		for _, q := range pairs {
+			c += q.w * float64(x[q.i]*x[q.j])
 		}
-		return res
+		return c
 	}
-	auto, dense, sparse := run(MachineAuto), run(MachineDense), run(MachineSparse)
-	if dense.BestCost != sparse.BestCost || dense.FeasibleCount != sparse.FeasibleCount {
-		t.Fatalf("kernels disagree: dense %v/%d vs sparse %v/%d",
-			dense.BestCost, dense.FeasibleCount, sparse.BestCost, sparse.FeasibleCount)
+	return p
+}
+
+// Forcing either kernel must not change the solve outcome of the SAIM
+// loop or of the penalty method: the machines are trajectory-identical
+// for the same seed, so the density-picked default (nil Factory) agrees
+// with both.
+func TestSolveMachineKindsAgree(t *testing.T) {
+	p := pairKnapsack()
+	solvers := []struct {
+		name  string
+		solve func(Options) (*Result, error)
+	}{
+		{"saim", func(o Options) (*Result, error) { return SolveContext(context.Background(), p, o) }},
+		{"penalty", func(o Options) (*Result, error) { return SolvePenaltyContext(context.Background(), p, 2, o) }},
 	}
-	if auto.BestCost != dense.BestCost || auto.FeasibleCount != dense.FeasibleCount {
-		t.Fatalf("auto kernel diverged: %v/%d vs %v/%d",
-			auto.BestCost, auto.FeasibleCount, dense.BestCost, dense.FeasibleCount)
-	}
-	if auto.DualBest != dense.DualBest {
-		t.Fatalf("auto dual %v vs dense %v", auto.DualBest, dense.DualBest)
+	for _, s := range solvers {
+		t.Run(s.name, func(t *testing.T) {
+			run := func(f MachineFactory) *Result {
+				res, err := s.solve(Options{Iterations: 40, SweepsPerRun: 60, Eta: 0.5, Seed: 13, Factory: f})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			auto := run(nil)
+			if auto.FeasibleCount == 0 {
+				t.Fatal("no feasible sample; the comparison would only cover infeasible runs")
+			}
+			for _, k := range []struct {
+				name string
+				f    MachineFactory
+			}{{"dense", DenseFactory}, {"sparse", SparseFactory}} {
+				t.Run(k.name, func(t *testing.T) { equalResults(t, 0, run(k.f), auto) })
+			}
+		})
 	}
 }
 

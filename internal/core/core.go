@@ -109,42 +109,6 @@ func (k MachineKind) String() string {
 	}
 }
 
-// PackedMode selects whether the replica pool may route groups of 64
-// replicas through the bit-packed multi-spin kernels (pbit.PackedMachine /
-// pbit.PackedSparseMachine), which sweep 64 replicas per J-row walk
-// instead of one. Packing never changes results: every lane reproduces the
-// scalar replica with the same seed bit-for-bit (pinned by
-// TestSolveParallelPackedMatchesScalarReplicas), so the mode affects
-// throughput only.
-type PackedMode int
-
-const (
-	// PackedAuto (the default) packs whenever a solve is eligible: no
-	// custom MachineFactory and at least pbit.Lanes (64) replicas. It
-	// currently packs every eligible solve; it is the mode that may grow
-	// workload heuristics later without breaking PackedOn's guarantee.
-	PackedAuto PackedMode = iota
-	// PackedOn packs every eligible solve (same eligibility as above —
-	// custom factories cannot be packed and fall back to scalar replicas).
-	PackedOn
-	// PackedOff forces one scalar machine per replica.
-	PackedOff
-)
-
-// String implements fmt.Stringer.
-func (p PackedMode) String() string {
-	switch p {
-	case PackedAuto:
-		return "auto"
-	case PackedOn:
-		return "on"
-	case PackedOff:
-		return "off"
-	default:
-		return fmt.Sprintf("PackedMode(%d)", int(p))
-	}
-}
-
 // SparseDensityThreshold is the coupling density below which MachineAuto
 // selects the CSR kernel. The CSR sweep costs O(Σ degree) against the dense
 // kernel's O(N·flips); the crossover sits near 50% density (the
@@ -162,18 +126,6 @@ func (k MachineKind) Resolve(model *ising.Model) MachineKind {
 		return MachineSparse
 	}
 	return MachineDense
-}
-
-// Factory returns the MachineFactory realizing the kind.
-func (k MachineKind) Factory() MachineFactory {
-	switch k {
-	case MachineDense:
-		return DenseFactory
-	case MachineSparse:
-		return SparseFactory
-	default:
-		return DefaultFactory
-	}
 }
 
 // DefaultFactory builds the p-bit machine best suited to the model: the
@@ -253,16 +205,10 @@ type Options struct {
 	Seed uint64
 	// NonNegative projects λ onto λ ≥ 0 after each update (ablation).
 	NonNegative bool
-	// Machine selects the p-bit kernel (auto/dense/CSR). Ignored when
-	// Factory is set.
-	Machine MachineKind
-	// Packed controls whether SolveParallelContext may sweep replicas
-	// 64-at-a-time through the bit-packed kernels. The zero value
-	// (PackedAuto) packs whenever eligible; packing never changes results.
-	// Single solves (replicas == 1) ignore it.
-	Packed PackedMode
-	// Factory builds the Ising machine; nil means the kernel selected by
-	// Machine.
+	// Factory builds the Ising machine; nil means DefaultFactory, and
+	// SolveParallelContext may then sweep 64 replicas at a time through
+	// the bit-packed kernels. A non-nil Factory runs every replica on its
+	// own machine. Neither choice changes results, only throughput.
 	Factory MachineFactory
 	// Trace, when non-nil, records the per-iteration trajectory.
 	Trace *Trace
@@ -365,7 +311,7 @@ func (o *Options) withDefaults() Options {
 		out.BetaMax = 10
 	}
 	if out.Factory == nil {
-		out.Factory = out.Machine.Factory()
+		out.Factory = DefaultFactory
 	}
 	return out
 }

@@ -42,8 +42,8 @@ type packedEngine struct {
 }
 
 // newPackedEngine builds a packed worker around the compiled program. The
-// kernel (dense or CSR) follows the same Machine kind resolution as the
-// scalar factories; lane sources are placeholders until reseedLanes.
+// kernel (dense or CSR) follows the same density resolution as
+// DefaultFactory; lane sources are placeholders until reseedLanes.
 func (pr *program) newPackedEngine() *packedEngine {
 	ext := pr.prob.Ext
 	pe := &packedEngine{
@@ -58,7 +58,7 @@ func (pr *program) newPackedEngine() *packedEngine {
 	if pr.o.EtaDecayPower != 0 {
 		pe.step = lagrange.DecayStep{Eta0: pr.o.Eta, Power: pr.o.EtaDecayPower}
 	}
-	if pr.o.Machine.Resolve(pr.model) == MachineSparse {
+	if MachineAuto.Resolve(pr.model) == MachineSparse {
 		pe.pk = pbit.NewPackedSparse(pr.model, rng.New(pr.o.Seed))
 	} else {
 		pe.pk = pbit.NewPacked(pr.model, rng.New(pr.o.Seed))

@@ -93,7 +93,10 @@ func packedMatchesScalar(t *testing.T, p *Problem, kind MachineKind) {
 	t.Helper()
 	o := Options{
 		Iterations: 12, SweepsPerRun: 40, Eta: 0.5, Seed: 91,
-		Patience: 4, Machine: kind,
+		Patience: 4, Factory: DenseFactory,
+	}
+	if kind == MachineSparse {
+		o.Factory = SparseFactory
 	}
 	pr, err := compile(p, o)
 	if err != nil {
@@ -103,7 +106,14 @@ func packedMatchesScalar(t *testing.T, p *Problem, kind MachineKind) {
 	for r := range seeds {
 		seeds[r] = replicaSeed(o.Seed, r)
 	}
+	// The engine picks its packed kernel from density; force the one
+	// under test so both kernels are checked on every problem.
 	pe := pr.newPackedEngine()
+	if kind == MachineSparse {
+		pe.pk = pbit.NewPackedSparse(pr.model, rng.New(o.Seed))
+	} else {
+		pe.pk = pbit.NewPacked(pr.model, rng.New(o.Seed))
+	}
 	traces := make([]*Trace, pbit.Lanes)
 	for r := range traces {
 		traces[r] = &Trace{}
@@ -136,30 +146,27 @@ func packedMatchesScalar(t *testing.T, p *Problem, kind MachineKind) {
 	}
 }
 
-// The public-API pin: merged results are identical whether the pool packs
-// or runs scalar replicas, including a non-multiple-of-64 fleet whose
-// remainder rides the scalar path next to one packed group.
+// The pool-level pin: merged results are identical whether the pool packs
+// (nil Factory) or runs scalar replicas (an explicit DefaultFactory),
+// including a non-multiple-of-64 fleet whose remainder rides the scalar
+// path next to one packed group.
 func TestSolveParallelPackedModeEquivalence(t *testing.T) {
 	p, _ := knapsackProblem([]float64{6, 5, 8, 9}, []float64{2, 3, 6, 7}, 10)
-	base := Options{Iterations: 6, SweepsPerRun: 30, Eta: 0.5, Seed: 17}
-	run := func(mode PackedMode) *Result {
-		o := base
-		o.Packed = mode
+	run := func(f MachineFactory) *Result {
+		o := Options{Iterations: 6, SweepsPerRun: 30, Eta: 0.5, Seed: 17, Factory: f}
 		res, err := SolveParallelContext(context.Background(), p, o, 70)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	off, on, auto := run(PackedOff), run(PackedOn), run(PackedAuto)
-	for name, got := range map[string]*Result{"on": on, "auto": auto} {
-		if got.BestCost != off.BestCost || got.FeasibleCount != off.FeasibleCount ||
-			got.Iterations != off.Iterations || got.TotalSweeps != off.TotalSweeps ||
-			got.DualBest != off.DualBest {
-			t.Errorf("Packed %s merged %v/%d/%d/%d/%v, scalar %v/%d/%d/%d/%v", name,
-				got.BestCost, got.FeasibleCount, got.Iterations, got.TotalSweeps, got.DualBest,
-				off.BestCost, off.FeasibleCount, off.Iterations, off.TotalSweeps, off.DualBest)
-		}
+	packed, scalar := run(nil), run(DefaultFactory)
+	if packed.BestCost != scalar.BestCost || packed.FeasibleCount != scalar.FeasibleCount ||
+		packed.Iterations != scalar.Iterations || packed.TotalSweeps != scalar.TotalSweeps ||
+		packed.DualBest != scalar.DualBest {
+		t.Errorf("packed merged %v/%d/%d/%d/%v, scalar %v/%d/%d/%d/%v",
+			packed.BestCost, packed.FeasibleCount, packed.Iterations, packed.TotalSweeps, packed.DualBest,
+			scalar.BestCost, scalar.FeasibleCount, scalar.Iterations, scalar.TotalSweeps, scalar.DualBest)
 	}
 }
 
@@ -171,16 +178,26 @@ func TestSolveParallelPackedWarmStartEquivalence(t *testing.T) {
 		Iterations: 5, SweepsPerRun: 25, Eta: 0.5, Seed: 23,
 		Initial: ising.Bits{1, 0, 0, 0},
 	}
-	run := func(mode PackedMode) *Result {
+	run := func(f MachineFactory) *Result {
 		o := base
-		o.Packed = mode
+		o.Factory = f
 		res, err := SolveParallelContext(context.Background(), p, o, pbit.Lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	off, on := run(PackedOff), run(PackedOn)
+	// An explicit factory is what keeps the reference scalar; a fleet of
+	// exactly 64 would otherwise never build a scalar machine.
+	var built atomic.Int32
+	off := run(func(m *ising.Model, src *rng.Source) Machine {
+		built.Add(1)
+		return DefaultFactory(m, src)
+	})
+	if built.Load() == 0 {
+		t.Fatal("the pool packed a solve with an explicit factory; the scalar reference never ran")
+	}
+	on := run(nil)
 	if on.BestCost != off.BestCost || on.FeasibleCount != off.FeasibleCount ||
 		on.TotalSweeps != off.TotalSweeps || on.DualBest != off.DualBest {
 		t.Errorf("packed warm start diverged from scalar: %v/%d/%d vs %v/%d/%d",
@@ -204,7 +221,7 @@ func TestSolveParallelPackedProgressAndTrace(t *testing.T) {
 	var last ProgressInfo
 	tr := &Trace{}
 	_, err := SolveParallelContext(context.Background(), p, Options{
-		Iterations: 5, SweepsPerRun: 10, Eta: 0.5, Seed: 4, Packed: PackedOn,
+		Iterations: 5, SweepsPerRun: 10, Eta: 0.5, Seed: 4,
 		Trace: tr,
 		Progress: func(pi ProgressInfo) {
 			mu.Lock()
@@ -239,7 +256,7 @@ func TestSolveParallelPackedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := SolveParallelContext(ctx, p, Options{
-		Iterations: 50, SweepsPerRun: 20, Eta: 0.5, Seed: 6, Packed: PackedOn,
+		Iterations: 50, SweepsPerRun: 20, Eta: 0.5, Seed: 6,
 	}, pbit.Lanes)
 	if err != nil {
 		t.Fatal(err)

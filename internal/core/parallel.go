@@ -157,11 +157,11 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 
 	// Eligible solves route full 64-lane groups through the bit-packed
 	// kernels (one J-row walk sweeps 64 replicas); the remainder — and
-	// every replica of a custom-factory or PackedOff solve — runs on the
-	// scalar per-replica engines. Lane r of a packed group reproduces the
-	// scalar replica with the same seed bit-for-bit, so routing never
-	// changes results.
-	packed := opts.Factory == nil && pr.o.Packed != PackedOff && replicas >= pbit.Lanes
+	// every replica of a custom-factory solve — runs on the scalar
+	// per-replica engines. Lane r of a packed group reproduces the scalar
+	// replica with the same seed bit-for-bit, so routing never changes
+	// results.
+	packed := opts.Factory == nil && replicas >= pbit.Lanes
 	tasks := buildReplicaTasks(replicas, packed)
 
 	workers := runtime.GOMAXPROCS(0)

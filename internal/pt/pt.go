@@ -39,9 +39,6 @@ type Options struct {
 	SampleEvery int
 	// Seed drives all randomness.
 	Seed uint64
-	// Machine selects the p-bit kernel (auto/dense/CSR) every replica
-	// runs on; the zero value auto-selects from the energy's density.
-	Machine core.MachineKind
 	// Progress, when non-nil, is invoked at every sampling point with a
 	// snapshot of the solve (Iteration counts sweeps here).
 	Progress func(core.ProgressInfo)
@@ -132,7 +129,7 @@ func SolvePenaltyContext(ctx context.Context, p *core.Problem, pWeight float64, 
 	// and exchanges go through SetState, so only per-machine local fields
 	// differ. Sharing drops the former per-replica O(N²) model rebuild.
 	model := energy.ToIsing()
-	sparse := o.Machine.Resolve(model) == core.MachineSparse
+	sparse := core.MachineAuto.Resolve(model) == core.MachineSparse
 	replicas := make([]machine, o.Replicas)
 	energies := make([]float64, o.Replicas)
 	for r := range replicas {

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// buildKnapModel builds a small constrained model through the public
-// Builder, with a quadratic objective so the coupling structure is
-// non-trivial for both kernels.
+// buildKnapModel builds a small constrained model with a quadratic
+// objective through the public Builder.
 func buildKnapModel(t *testing.T) *Model {
 	t.Helper()
 	b := NewBuilder(6)
@@ -23,52 +22,6 @@ func buildKnapModel(t *testing.T) *Model {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// WithMachine must never change results — only which kernel runs. All
-// three kinds share one rng stream and update rule, so the solve outcome
-// is bit-identical across them.
-func TestWithMachineKernelsAgree(t *testing.T) {
-	m := buildKnapModel(t)
-	run := func(k MachineKind) *Result {
-		res, err := SolveModel(context.Background(), "saim", m,
-			WithIterations(30), WithSweepsPerRun(50), WithEta(0.5), WithSeed(11),
-			WithMachine(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	auto, dense, sparse := run(MachineAuto), run(MachineDense), run(MachineSparse)
-	if dense.Cost != sparse.Cost || dense.FeasibleRatio != sparse.FeasibleRatio {
-		t.Fatalf("kernels disagree: dense %v/%v vs sparse %v/%v",
-			dense.Cost, dense.FeasibleRatio, sparse.Cost, sparse.FeasibleRatio)
-	}
-	if auto.Cost != dense.Cost {
-		t.Fatalf("auto kernel diverged: %v vs %v", auto.Cost, dense.Cost)
-	}
-	for i, v := range dense.Assignment {
-		if sparse.Assignment[i] != v {
-			t.Fatalf("assignments diverge at %d", i)
-		}
-	}
-}
-
-// The penalty backend must honor WithMachine too (it anneals the same
-// machines), and forcing kernels must agree there as well.
-func TestWithMachinePenaltyBackend(t *testing.T) {
-	m := buildKnapModel(t)
-	run := func(k MachineKind) *Result {
-		res, err := SolveModel(context.Background(), "penalty", m,
-			WithIterations(20), WithSweepsPerRun(50), WithSeed(3), WithMachine(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if d, s := run(MachineDense), run(MachineSparse); d.Cost != s.Cost {
-		t.Fatalf("penalty backend kernels disagree: %v vs %v", d.Cost, s.Cost)
-	}
 }
 
 // Replicated saim solves now stream aggregated progress instead of

@@ -91,17 +91,17 @@ func Knapsack(spec KnapsackSpec) (*KnapsackProblem, error) {
 	n := len(spec.Values)
 	m := model.New()
 	x := m.Binary("take", n)
-	obj := model.Dot(spec.Values, x)
+	terms := []model.Expr{model.Dot(spec.Values, x)}
 	if spec.PairValues != nil {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if v := spec.PairValues[i][j]; v != 0 {
-					obj = obj.Add(x[i].Times(x[j]).Mul(v))
+					terms = append(terms, x[i].Times(x[j]).Mul(v))
 				}
 			}
 		}
 	}
-	m.Maximize(obj)
+	m.Maximize(model.Sum(terms...))
 	for i, row := range spec.Weights {
 		name := "capacity"
 		if len(spec.Weights) > 1 {

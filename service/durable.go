@@ -18,8 +18,7 @@ import (
 )
 
 // SyncPolicy selects when the durable-mode journal fsyncs; it aliases
-// the internal wal type so every layer shares one vocabulary (the
-// saim.MachineKind precedent).
+// the internal wal type so every layer shares one vocabulary.
 type SyncPolicy = wal.SyncPolicy
 
 // Re-exported fsync policies.

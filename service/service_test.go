@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -583,7 +585,7 @@ func TestWireOptions(t *testing.T) {
 	ten := 2
 	w := &SolveOptions{
 		Alpha: 2, Eta: 5, Iterations: 7, SweepsPerRun: 11, BetaMax: 9,
-		Seed: 42, Machine: "sparse", Replicas: 3, Population: 50,
+		Seed: 42, Replicas: 3, Population: 50,
 		TimeLimitMS: 1500, NodeLimit: 99, TargetCost: &target,
 		Patience: 4, Initial: []int{1, 0}, SubproblemSize: 64,
 		InnerSolver: "pt", Rounds: 2, TabuTenure: &ten, Racers: []string{"saim", "greedy"},
@@ -599,10 +601,38 @@ func TestWireOptions(t *testing.T) {
 	if saim.OptionsFingerprint(opts...) != saim.OptionsFingerprint(opts...) {
 		t.Fatal("unstable fingerprint")
 	}
-	if _, _, err := (&SolveOptions{Machine: "quantum"}).Options(); err == nil {
-		t.Fatal("accepted an unknown machine kind")
-	}
 	if _, _, err := (&SolveOptions{TimeLimitMS: -1}).Options(); err == nil {
 		t.Fatal("accepted a negative time limit")
+	}
+	// Count fields size allocations before a solve starts; out-of-range
+	// values must be rejected here, never reach a backend.
+	for _, bad := range []SolveOptions{
+		{Iterations: -1}, {Iterations: maxWireIterations + 1}, {Iterations: math.MaxInt},
+		{Replicas: -1}, {Replicas: maxWireReplicas + 1}, {Replicas: math.MaxInt},
+		{Population: -1}, {Population: maxWirePopulation + 1}, {Population: math.MaxInt},
+	} {
+		if _, _, err := bad.Options(); err == nil {
+			t.Errorf("accepted out-of-range counts %+v", bad)
+		}
+	}
+	if _, _, err := (&SolveOptions{Iterations: maxWireIterations, Replicas: maxWireReplicas,
+		Population: maxWirePopulation}).Options(); err != nil {
+		t.Fatalf("rejected counts at their caps: %v", err)
+	}
+	// The engine picks the sweep kernel itself; a request (or journaled
+	// record) that still names one solves exactly like one that does not.
+	fp := func(body string) string {
+		var w SolveOptions
+		if err := json.Unmarshal([]byte(body), &w); err != nil {
+			t.Fatal(err)
+		}
+		opts, _, err := w.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return saim.OptionsFingerprint(opts...)
+	}
+	if fp(`{"seed":42,"machine":"sparse"}`) != fp(`{"seed":42}`) {
+		t.Fatal(`a legacy "machine" field changed the solve`)
 	}
 }

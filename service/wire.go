@@ -22,9 +22,6 @@ type SolveOptions struct {
 	BetaMax float64 `json:"beta_max,omitempty"`
 	// Seed makes the solve reproducible.
 	Seed uint64 `json:"seed,omitempty"`
-	// Machine forces the sweep kernel: "auto" (or empty), "dense",
-	// "sparse".
-	Machine string `json:"machine,omitempty"`
 	// Replicas, Population size the pt/saim pool and the GA.
 	Replicas   int `json:"replicas,omitempty"`
 	Population int `json:"population,omitempty"`
@@ -49,6 +46,19 @@ type SolveOptions struct {
 	Racers []string `json:"racers,omitempty"`
 }
 
+// Caps on the wire's count fields. Each count sizes memory before the
+// solve starts: iterations the dual history of every annealing engine
+// (64 lanes of it on the packed path), replicas the pool's result slots
+// and pt's machines, population the GA's individuals. Without a cap one
+// small request could exhaust the server's memory, the hazard
+// model.MaxWireVariables closes for models. Each cap sits far above the
+// paper's settings (2000 iterations, 26 pt rungs, a population of 100).
+const (
+	maxWireIterations = 1 << 16
+	maxWireReplicas   = 1 << 12
+	maxWirePopulation = 1 << 14
+)
+
 // Options lowers the wire form onto the functional option list. The
 // returned TimeLimit (from TimeLimitMS) is reported separately so the
 // manager can fold in its default; it is NOT included in the options.
@@ -56,6 +66,18 @@ func (o *SolveOptions) Options() ([]saim.Option, time.Duration, error) {
 	var opts []saim.Option
 	if o == nil {
 		return nil, 0, nil
+	}
+	for _, c := range []struct {
+		name     string
+		val, max int
+	}{
+		{"iterations", o.Iterations, maxWireIterations},
+		{"replicas", o.Replicas, maxWireReplicas},
+		{"population", o.Population, maxWirePopulation},
+	} {
+		if c.val < 0 || c.val > c.max {
+			return nil, 0, fmt.Errorf("service: %s %d outside [0, %d]", c.name, c.val, c.max)
+		}
 	}
 	if o.Alpha != 0 {
 		opts = append(opts, saim.WithAlpha(o.Alpha))
@@ -77,15 +99,6 @@ func (o *SolveOptions) Options() ([]saim.Option, time.Duration, error) {
 	}
 	if o.Seed != 0 {
 		opts = append(opts, saim.WithSeed(o.Seed))
-	}
-	switch o.Machine {
-	case "", "auto":
-	case "dense":
-		opts = append(opts, saim.WithMachine(saim.MachineDense))
-	case "sparse":
-		opts = append(opts, saim.WithMachine(saim.MachineSparse))
-	default:
-		return nil, 0, fmt.Errorf("service: unknown machine kind %q (want auto, dense, or sparse)", o.Machine)
 	}
 	if o.Replicas != 0 {
 		opts = append(opts, saim.WithReplicas(o.Replicas))

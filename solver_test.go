@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ising-machines/saim/internal/core"
 )
 
 // smallQKP builds a 10-item quadratic knapsack with integer data so every
@@ -418,15 +420,23 @@ func TestUnconstrainedReplicasPackedMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode PackedMode) *Result {
-		res, err := SolveModel(context.Background(), "saim", m, WithReplicas(64),
-			WithPackedReplicas(mode), WithIterations(8), WithSweepsPerRun(40), WithSeed(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	opts := []Option{WithReplicas(64), WithIterations(8), WithSweepsPerRun(40), WithSeed(3)}
+	packed, err := SolveModel(context.Background(), "saim", m, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	packed, scalar := run(PackedOn), run(PackedOff)
+	// The scalar reference is the same pool on one machine per replica,
+	// which the engine runs whenever it is handed an explicit factory.
+	o, err := coreOptions("saim", m, buildConfig(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Factory = core.DefaultFactory
+	res, err := core.SolveParallelContext(context.Background(), m.inner, o, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar := coreResult("saim", res)
 	if packed.Cost != scalar.Cost || packed.FeasibleRatio != scalar.FeasibleRatio ||
 		packed.Sweeps != scalar.Sweeps || packed.Iterations != scalar.Iterations {
 		t.Fatalf("packed %+v, scalar %+v", packed, scalar)
